@@ -135,11 +135,10 @@ class DynCapi:
             report.registered_dsos += 1
 
     def _build_id_map(self, report: StartupReport) -> None:
-        n_symbols = sum(
-            len(triples) for triples in collect_all_symbols(self.loader).values()
-        )
+        symbols = collect_all_symbols(self.loader)
+        n_symbols = sum(len(triples) for triples in symbols.values())
         self.clock.advance(self.cost_model.symbol_collect * n_symbols)
-        self.id_names = build_id_name_map(self.xray, self.loader)
+        self.id_names = build_id_name_map(self.xray, self.loader, symbols=symbols)
         n_ids = len(self.id_names.names) + len(self.id_names.unresolved)
         self.clock.advance(self.cost_model.id_translate * n_ids)
         report.unresolved_ids = self.id_names.unresolved_count

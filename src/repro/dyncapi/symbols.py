@@ -69,18 +69,25 @@ class IdNameMap:
 
 
 def build_id_name_map(
-    runtime: XRayRuntime, loader: DynamicLoader
+    runtime: XRayRuntime,
+    loader: DynamicLoader,
+    *,
+    symbols: dict[str, list[SymbolTriple]] | None = None,
 ) -> IdNameMap:
     """Cross-check XRay function addresses against collected symbols.
 
     For every registered object and function id, query
     ``__xray_function_address`` and find the covering symbol.  Functions
     without a matching symbol (hidden in a DSO) land in ``unresolved``.
+    ``symbols`` is :func:`collect_all_symbols` of ``loader`` when the
+    caller has already collected it.
     """
+    if symbols is None:
+        symbols = collect_all_symbols(loader)
     out = IdNameMap()
     per_object = {
         name: sorted(triples, key=lambda t: t.address)
-        for name, triples in collect_all_symbols(loader).items()
+        for name, triples in symbols.items()
     }
     for obj in runtime.objects():
         triples = per_object.get(obj.name, [])

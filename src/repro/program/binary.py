@@ -108,6 +108,10 @@ class BinaryObject:
     function_ids: dict[int, str] = field(default_factory=dict)
     pic: bool = True
     image_size: int = 0
+    #: The text image's initial non-zero pages (page index -> bytes):
+    #: the sleds' NOPs.  Built once by the linker; every mapping of the
+    #: object shares them copy-on-write (see repro.program.memory).
+    text_pages: dict[int, bytes] = field(default_factory=dict)
 
     @property
     def is_dso(self) -> bool:

@@ -4,8 +4,10 @@ The layout decides everything the XRay runtime later consumes:
 
 * function offsets and sizes (sled addresses derive from them),
 * the per-object XRay function-id assignment (1-based, layout order),
-* symbol tables with visibility, and
-* whether the object's trampolines are position-independent.
+* symbol tables with visibility,
+* whether the object's trampolines are position-independent, and
+* the initial text pages holding the sleds' NOP bytes, which every
+  process that loads the object maps copy-on-write.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from repro.errors import LinkError
 from repro.program.binary import BinaryObject, ObjectKind, Symbol, SymbolTable
 from repro.program.compiler import CompiledProgram
 from repro.program.machine import FUNCTION_HEADER_BYTES, MachineFunction
-from repro.program.memory import PAGE_SIZE
-from repro.xray.sled import SLED_BYTES, SledKind, SledRecord
+from repro.program.memory import PAGE_SIZE, MappedRegion
+from repro.xray.sled import SLED_BYTES, UNPATCHED, SledKind, SledRecord
 
 
 @dataclass
@@ -141,6 +143,7 @@ class Linker:
             if (lib or compiled.program.name) == name and fname not in obj.symtab:
                 obj.symtab.add(Symbol(name=fname, offset=offset, size=0))
         obj.image_size = _round_up(max(offset, 1), PAGE_SIZE)
+        obj.text_pages = _sled_pages(obj)
         return obj
 
     @staticmethod
@@ -149,6 +152,14 @@ class Linker:
             if tu in tus:
                 return lib
         return None
+
+
+def _sled_pages(obj: BinaryObject) -> dict[int, bytes]:
+    """The object's text pages that hold sleds, each sled set to NOPs."""
+    text = MappedRegion(obj.name, base=0, size=obj.image_size)
+    for record in obj.sled_records:
+        text.write(record.offset, UNPATCHED)
+    return {index: bytes(page) for index, page in text.pages.items()}
 
 
 def _round_up(value: int, multiple: int) -> int:

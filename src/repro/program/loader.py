@@ -2,20 +2,23 @@
 
 Models the parts of ``ld.so`` the paper's xray-dso extension interacts
 with: base-address assignment (DSOs are relocated away from their
-preferred base), ``dlopen``/``dlclose`` for runtime (un)loading, and the
-writing of sled NOP bytes into the mapped text so patching operates on
-real page-protected memory.
+preferred base) and ``dlopen``/``dlclose`` for runtime (un)loading.
+
+Loading maps the object's text as a sparse page overlay: the linker's
+sled pages (NOP bytes at every sled) are shared copy-on-write and every
+other page reads as zeros, so patching still operates on real
+page-protected memory while a 378 MB image costs a few dozen pages.
+Each process copies a sled page on its first patch of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import LoaderError
+from repro.errors import LoaderError, SegmentationFault
 from repro.program.binary import BinaryObject
 from repro.program.linker import LinkedProgram
 from repro.program.memory import MappedRegion, ProcessImage
-from repro.xray.sled import SLED_BYTES, UNPATCHED
 
 
 @dataclass
@@ -57,8 +60,12 @@ class DynamicLoader:
         if binary.name in self.loaded:
             raise LoaderError(f"object {binary.name!r} already loaded")
         region = self.image.map_region(binary.name, binary.image_size)
+        region.share_pages(binary.text_pages)
+        # The sleds' NOPs arrive with the shared pages.  A loader writing
+        # them itself pays an mprotect pair per sled (writable, then back
+        # to read-only/execute); the image's counter still charges those.
+        self.image.mprotect_calls += 2 * len(binary.sled_records)
         lo = LoadedObject(binary=binary, region=region)
-        self._write_sleds(lo)
         self.loaded[binary.name] = lo
         return lo
 
@@ -81,21 +88,11 @@ class DynamicLoader:
         return objs
 
     def object_containing(self, address: int) -> LoadedObject:
-        for lo in self.loaded.values():
-            if lo.region.contains(address):
-                return lo
-        raise LoaderError(f"no loaded object contains address {address:#x}")
-
-    # -- internals ------------------------------------------------------------
-
-    def _write_sleds(self, lo: LoadedObject) -> None:
-        """Initialise every sled with NOP bytes in the mapped text.
-
-        The loader writes the image before protection is dropped to
-        read-only/execute, so it bypasses the patching protection path.
-        """
-        for record in lo.binary.sled_records:
-            addr = lo.sled_address(record)
-            self.image.mprotect(addr, SLED_BYTES, writable=True)
-            self.image.write(addr, UNPATCHED)
-            self.image.mprotect(addr, SLED_BYTES, writable=False)
+        try:
+            region = self.image.region_at(address)
+        except SegmentationFault:
+            region = None
+        lo = self.loaded.get(region.name) if region is not None else None
+        if lo is None or lo.region is not region:
+            raise LoaderError(f"no loaded object contains address {address:#x}")
+        return lo

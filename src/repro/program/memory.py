@@ -6,10 +6,23 @@ pages are flipped back.  This module models exactly that — a write to a
 non-writable page raises :class:`~repro.errors.SegmentationFault`, so a
 patching implementation that forgets the ``mprotect`` dance fails the
 same way it would on hardware.
+
+Memory is a sparse page overlay.  A :class:`MappedRegion` stores only
+the pages that were ever given content; an untouched page reads as
+zeros, so mapping a 378 MB text image whose only non-zero bytes are a
+few thousand sleds costs a few dozen pages, not 378 MB.  A region may
+start from template pages shared with every other mapping of the same
+object (the linker builds one set per object).  Template pages are
+immutable ``bytes``; a region copies one into a private ``bytearray`` on
+its first write to that page, so patching one image never shows in
+another image or in the template — the copy-on-write a private file
+mapping of ``.text`` gives a real process.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import LoaderError, SegmentationFault
@@ -28,32 +41,75 @@ def page_range(start: int, length: int) -> range:
     return range(page_of(start), page_of(start + length - 1) + 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class MappedRegion:
-    """A contiguous mapping (one loaded object's text image)."""
+    """A contiguous page-aligned mapping (one loaded object's text image).
+
+    ``pages`` maps a region-relative page index to the page's
+    ``PAGE_SIZE`` bytes: ``bytes`` for a page shared copy-on-write,
+    ``bytearray`` for the region's private copy.  Offsets given to
+    :meth:`read` and :meth:`write` are region-relative and unchecked;
+    :class:`ProcessImage` enforces bounds and protection.
+    """
 
     name: str
     base: int
-    data: bytearray
+    size: int
+    pages: dict[int, bytes | bytearray] = field(default_factory=dict)
 
     @property
     def end(self) -> int:
-        return self.base + len(self.data)
+        return self.base + self.size
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
+
+    def share_pages(self, pages: Mapping[int, bytes]) -> None:
+        """Overlay ``pages`` (page index -> ``PAGE_SIZE`` bytes) copy-on-write."""
+        n_pages = (self.size + PAGE_SIZE - 1) // PAGE_SIZE
+        for index, page in pages.items():
+            if not 0 <= index < n_pages or len(page) != PAGE_SIZE:
+                raise LoaderError(f"bad template page {index} for {self.name!r}")
+            self.pages[index] = bytes(page)  # a no-op for bytes; freezes the rest
+
+    def read(self, offset: int, length: int) -> bytes:
+        chunks = []
+        while length > 0:
+            index, start = divmod(offset, PAGE_SIZE)
+            n = min(length, PAGE_SIZE - start)
+            page = self.pages.get(index)
+            chunks.append(bytes(n) if page is None else page[start : start + n])
+            offset += n
+            length -= n
+        return b"".join(chunks)
+
+    def write(self, offset: int, payload: bytes) -> None:
+        view = memoryview(payload)
+        while view:
+            index, start = divmod(offset, PAGE_SIZE)
+            n = min(len(view), PAGE_SIZE - start)
+            page = self.pages.get(index)
+            if not isinstance(page, bytearray):  # untouched or shared: copy
+                page = bytearray(PAGE_SIZE) if page is None else bytearray(page)
+                self.pages[index] = page
+            page[start : start + n] = view[:n]
+            offset += n
+            view = view[n:]
 
 
 @dataclass
 class ProcessImage:
     """The virtual address space of one simulated process.
 
-    Regions are mapped page-aligned by a bump allocator; page protection
-    is tracked per page index.  Text pages start read-only+executable,
-    matching how a real loader maps ``.text``.
+    Regions are mapped page-aligned by a bump allocator, so ``regions``
+    and the parallel ``_bases`` list stay sorted by base address and
+    :meth:`region_at` bisects them.  Page protection is tracked per
+    absolute page index.  Text pages start read-only+executable, matching
+    how a real loader maps ``.text``.
     """
 
     regions: list[MappedRegion] = field(default_factory=list)
+    _bases: list[int] = field(default_factory=list)
     _writable_pages: set[int] = field(default_factory=set)
     _next_base: int = 0x400000  # conventional ELF load address
     #: Statistics: mprotect invocations (patching cost model input).
@@ -62,27 +118,32 @@ class ProcessImage:
     # -- mapping --------------------------------------------------------------
 
     def map_region(self, name: str, size: int) -> MappedRegion:
-        """Map ``size`` zeroed bytes at the next free page-aligned base."""
+        """Map ``size`` zero bytes at the next free page-aligned base."""
         if size <= 0:
             raise LoaderError(f"cannot map empty region {name!r}")
         base = self._next_base
-        region = MappedRegion(name=name, base=base, data=bytearray(size))
+        region = MappedRegion(name=name, base=base, size=size)
         self.regions.append(region)
+        self._bases.append(base)
         pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
         # one guard page between mappings
         self._next_base = base + (pages + 1) * PAGE_SIZE
         return region
 
     def unmap(self, region: MappedRegion) -> None:
-        if region not in self.regions:
+        i = bisect_left(self._bases, region.base)
+        if i == len(self.regions) or self.regions[i] is not region:
             raise LoaderError(f"region {region.name!r} is not mapped")
-        self.regions.remove(region)
-        for page in page_range(region.base, len(region.data)):
+        del self.regions[i]
+        del self._bases[i]
+        for page in page_range(region.base, region.size):
             self._writable_pages.discard(page)
 
     def region_at(self, address: int) -> MappedRegion:
-        for region in self.regions:
-            if region.contains(address):
+        i = bisect_right(self._bases, address) - 1
+        if i >= 0:
+            region = self.regions[i]
+            if address < region.end:
                 return region
         raise SegmentationFault(f"access to unmapped address {address:#x}")
 
@@ -113,8 +174,7 @@ class ProcessImage:
             raise SegmentationFault(
                 f"read of {length} bytes at {address:#x} crosses region end"
             )
-        offset = address - region.base
-        return bytes(region.data[offset : offset + length])
+        return region.read(address - region.base, length)
 
     def write(self, address: int, payload: bytes) -> None:
         """Write bytes, enforcing page protection."""
@@ -129,5 +189,4 @@ class ProcessImage:
                     f"write to non-writable page at {address:#x} "
                     f"(did you forget mprotect?)"
                 )
-        offset = address - region.base
-        region.data[offset : offset + len(payload)] = payload
+        region.write(address - region.base, payload)

@@ -100,12 +100,16 @@ def test_patch_unpatch_restores_every_image(program):
     rt.init_main_executable(
         exe.binary.name, exe.base, exe.binary.sled_records, exe.binary.function_ids
     )
-    before = {
-        lo.binary.name: bytes(lo.region.data) for lo in objs
-    }
+    def images():
+        return {
+            lo.binary.name: loader.image.read(lo.base, lo.binary.image_size)
+            for lo in objs
+        }
+
+    before = images()
     rt.patch_all()
     rt.unpatch_all()
-    after = {lo.binary.name: bytes(lo.region.data) for lo in objs}
+    after = images()
     assert before == after
 
 

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.errors import LoaderError
+from repro.experiments.runner import prepare_app
 from repro.program.binary import ObjectKind
 from repro.program.builder import ProgramBuilder
 from repro.program.compiler import Compiler, CompilerConfig
 from repro.program.linker import Linker
 from repro.program.loader import DynamicLoader
-from repro.xray.sled import SLED_BYTES, UNPATCHED, SledKind
+from repro.program.memory import PAGE_SIZE
+from repro.xray.dso import XRayDsoRuntime
+from repro.xray.runtime import XRayRuntime
+from repro.xray.sled import SLED_BYTES, UNPATCHED, SledKind, decode_patch
 
 
 class TestLinker:
@@ -108,6 +112,60 @@ class TestLoader:
         _loader, objs = demo_loaded
         assert not objs[0].relocated  # executable
         assert objs[1].relocated  # DSO
+
+
+def _sled_blobs(loader, objs):
+    return [
+        loader.image.read(lo.sled_address(rec), SLED_BYTES)
+        for lo in objs
+        for rec in lo.binary.sled_records
+    ]
+
+
+class TestCopyOnWriteImages:
+    def test_patching_one_image_leaves_others_and_template(self, demo_linked):
+        template = {
+            obj.name: dict(obj.text_pages) for obj in demo_linked.all_objects()
+        }
+        patched, untouched = DynamicLoader(), DynamicLoader()
+        objs = patched.load_program(demo_linked)
+        other = untouched.load_program(demo_linked)
+        rt = XRayRuntime(patched.image)
+        exe = objs[0]
+        rt.init_main_executable(
+            exe.binary.name, exe.base, exe.binary.sled_records, exe.binary.function_ids
+        )
+        dso_rt = XRayDsoRuntime(rt)
+        for lo in objs[1:]:
+            dso_rt.on_load(lo)
+        assert rt.patch_all() > 0
+        assert all(decode_patch(b) is not None for b in _sled_blobs(patched, objs))
+        assert set(_sled_blobs(untouched, other)) == {UNPATCHED}
+        for obj in demo_linked.all_objects():
+            assert obj.text_pages == template[obj.name]
+            assert all(isinstance(p, bytes) for p in obj.text_pages.values())
+        # a third load after the patching still starts from all-NOP sleds
+        third = DynamicLoader()
+        assert set(_sled_blobs(third, third.load_program(demo_linked))) == {UNPATCHED}
+
+    def test_load_charges_the_sled_initialisation_mprotects(self, demo_linked):
+        loader = DynamicLoader()
+        loader.load_program(demo_linked)
+        assert loader.image.mprotect_calls == 2 * demo_linked.total_sled_count()
+
+    def test_lulesh_image_holds_only_its_sled_pages(self):
+        exe = prepare_app("lulesh").app.linked.executable
+        loader = DynamicLoader()
+        lo = loader.load(exe)
+        sled_pages = {
+            (rec.offset + i) // PAGE_SIZE
+            for rec in exe.sled_records
+            for i in (0, SLED_BYTES - 1)
+        }
+        assert exe.image_size > 1000 * len(sled_pages) * PAGE_SIZE
+        assert set(lo.region.pages) == sled_pages
+        assert len(lo.region.pages) <= 64
+        assert all(p is exe.text_pages[i] for i, p in lo.region.pages.items())
 
 
 def test_builder_chain_helper():
