@@ -78,4 +78,8 @@ def save(graph: CallGraph, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> CallGraph:
-    return from_dict(json.loads(Path(path).read_text()))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CallGraphError(f"cannot read call graph {path}: {exc}") from exc
+    return from_dict(json.loads(text))

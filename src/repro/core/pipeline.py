@@ -109,11 +109,6 @@ def attach_cache_key(
     return key
 
 
-# backwards-compatible private aliases (pre-service internal API)
-_canonical_key = cache_key
-_attach_cache_key = attach_cache_key
-
-
 @dataclass(frozen=True)
 class CompiledSpec:
     """A specification compiled to its selector DAG (the compile phase).

@@ -91,5 +91,8 @@ def load_spec_file(
     path: str | Path, *, search_paths: list[Path] | None = None
 ) -> SpecFile:
     path = Path(path)
-    paths = [path.parent, *(search_paths or [])]
-    return load_spec(path.read_text(), search_paths=paths)
+    try:
+        source = path.read_text()
+    except OSError as exc:
+        raise ImportResolutionError(f"cannot read spec file {path}: {exc}") from exc
+    return load_spec(source, search_paths=[path.parent, *(search_paths or [])])

@@ -104,7 +104,7 @@ class SpecSemanticError(CapiError):
 
 
 class ImportResolutionError(CapiError):
-    """A ``!import(...)`` directive could not be resolved."""
+    """A spec file or ``!import(...)`` directive could not be resolved."""
 
 
 class SelectionError(CapiError):

@@ -82,7 +82,6 @@ from repro.multirank.tracing import (
     align_stream,
     compute_alignment,
     merge_rank_traces,
-    segment_windows,
     validate_tracing,
 )
 
@@ -126,6 +125,5 @@ __all__ = [
     "resolve_backend",
     "run_multirank",
     "run_rebalanced",
-    "segment_windows",
     "validate_tracing",
 ]

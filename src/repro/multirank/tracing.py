@@ -23,12 +23,24 @@ profile reducer attributes via
 :func:`repro.simmpi.world.finalize_wait`: the two views agree by
 construction (acceptance-tested to within one collective latency).
 
-On top of the merged timeline ship the first two trace-based analyses,
-Scalasca-style:
+One core, two event sources.  :class:`AlignedTrace` scans each rank's
+raw events once for its sync sequence, solves the logical clocks, and
+defines every analysis once over a single hook, ``rank_stream(pos)``,
+which yields one rank's aligned, rank-tagged events.  The views differ
+only in where a rank's raw events come from:
 
-* :meth:`MergedTrace.wait_states` — per-rank wait intervals at each
+* :class:`MergedTrace` (:func:`merge_rank_traces`) takes in-memory
+  lists and keeps the aligned ``per_rank`` lists plus the merged
+  ``events`` list;
+* :class:`~repro.trace.streaming.StreamingTrace`
+  (:func:`~repro.trace.streaming.open_merged_trace`) re-reads and
+  re-aligns each rank's on-disk location file on every call.
+
+The analyses are Scalasca-style:
+
+* :meth:`AlignedTrace.wait_states` — per-rank wait intervals at each
   collective ("Wait at Barrier/NxN"): who blocked, where, for how long;
-* :meth:`MergedTrace.critical_path` — a simple critical-path walk over
+* :meth:`AlignedTrace.critical_path` — a simple critical-path walk over
   the segments between synchronisation points: per segment, the rank
   whose local (wait-free) time is largest is on the critical path, and
   the region with the largest exclusive share of that segment names the
@@ -40,11 +52,9 @@ Entry point: ``run_app(..., ranks=N, imbalance=..., tracing=True)`` →
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-from dataclasses import replace
-from typing import Iterable, Iterator
+import heapq
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import CapiError
 from repro.scorep.tracing import (
@@ -52,8 +62,6 @@ from repro.scorep.tracing import (
     TraceEvent,
     TraceEventKind,
     TraceIssue,
-    merge_streams,
-    tag_events,
     validate_trace,
 )
 from repro.simmpi.comm import SYNCHRONIZING
@@ -142,29 +150,63 @@ class CriticalSegment:
     top_region: str | None
 
 
-@dataclass
-class MergedTrace:
-    """One rank-tagged, logically-clocked timeline of an N-rank run."""
+class AlignedTrace:
+    """A rank-tagged, logically-clocked timeline and its analyses.
 
-    ranks: int
-    #: the merged stream: aligned timestamps, ordered by (time, rank)
-    events: list[RankedTraceEvent]
-    sync_points: list[SyncPoint]
-    #: final per-rank logical-clock offset == total synchronisation wait
-    rank_offsets: tuple[float, ...]
-    #: per-rank event counts (all kinds)
-    events_per_rank: tuple[int, ...]
-    #: per-rank aligned event streams (rank order), kept for analyses
-    per_rank: list[list[RankedTraceEvent]] = field(default_factory=list)
-    #: true rank ids of the streams (position -> rank id); set when the
-    #: merge covers a partial world (degraded run) so lanes keep their
-    #: original identity — empty means positional (rank i at index i)
-    rank_ids: tuple[int, ...] = ()
+    The constructor scans each rank's raw event source once and solves
+    the logical clocks; subclasses only say where a rank's aligned
+    events come from, via :meth:`rank_stream`.  Every analysis below
+    runs over that one hook, so both trace views share them.
+    """
+
+    def __init__(
+        self,
+        sources: Sequence[Iterable[TraceEvent]],
+        rank_ids: "Sequence[int] | None" = None,
+    ) -> None:
+        ids = resolve_rank_ids(len(sources), rank_ids)
+        scans = [_scan(events) for events in sources]
+        sync_points, offsets, schedule = compute_alignment(
+            [sync_seq for sync_seq, _, _ in scans]
+        )
+        self.ranks = len(ids)
+        #: true rank id of each stream position (ascending); a degraded
+        #: run merges only the surviving ranks, which keep their identity
+        self.rank_ids = ids
+        self.sync_points = sync_points
+        #: final per-rank logical-clock offset == total synchronisation wait
+        self.rank_offsets = offsets
+        #: per-rank event counts (all kinds)
+        self.events_per_rank = tuple(count for _, count, _ in scans)
+        #: aligned timestamp of each rank's final event
+        self.last_aligned = tuple(
+            last + _offset_at(plan, last)
+            for (_, _, last), plan in zip(scans, schedule)
+        )
+        #: per-rank shift schedules, replayed by :func:`align_stream`
+        self.schedule = schedule
+
+    def rank_stream(self, pos: int) -> Iterator[RankedTraceEvent]:
+        """Aligned, rank-tagged events of the rank at position ``pos``."""
+        raise NotImplementedError
+
+    def _timeline(self) -> Iterator[RankedTraceEvent]:
+        """The merged global stream: a k-way merge keyed ``(t, rank)``.
+
+        Aligned per-rank streams are timestamp-monotone, so the merge
+        is globally ordered; cross-rank timestamp ties break toward
+        the lower rank, keeping the result bit-stable whichever
+        backend produced the streams.
+        """
+        return heapq.merge(
+            *(self.rank_stream(pos) for pos in range(self.ranks)),
+            key=lambda ev: (ev.timestamp_cycles, ev.rank),
+        )
 
     @property
     def rank_labels(self) -> tuple[int, ...]:
         """Rank id of each stream position (identity when not degraded)."""
-        return self.rank_ids if self.rank_ids else tuple(range(self.ranks))
+        return self.rank_ids
 
     @property
     def rank_wait_cycles(self) -> tuple[float, ...]:
@@ -179,7 +221,7 @@ class MergedTrace:
     @property
     def elapsed_cycles(self) -> float:
         """Aligned end of the timeline (0.0 for an empty trace)."""
-        return self.events[-1].timestamp_cycles if self.events else 0.0
+        return max(self.last_aligned, default=0.0)
 
     # -- consistency -----------------------------------------------------------
 
@@ -197,16 +239,26 @@ class MergedTrace:
         codes otherwise) and the offending ``rank`` filled in;
         ``str(issue)`` keeps the legacy message text.
         """
-        return [
-            *validate_merge_order(self.events),
-            *(
-                issue
-                for rank, stream in zip(self.rank_labels, self.per_rank)
-                for issue in validate_rank_stream(
-                    rank, (ev.untagged() for ev in stream)
+        issues = []
+        last_key = (-1.0, -1)
+        for ev in self._timeline():
+            key = (ev.timestamp_cycles, ev.rank)
+            if key < last_key:
+                issues.append(
+                    TraceIssue(
+                        "merge-order",
+                        ev.region,
+                        f"merged stream out of order at rank {ev.rank} {ev.region}",
+                        rank=ev.rank,
+                    )
                 )
-            ),
-        ]
+            last_key = key
+        for pos, rank in enumerate(self.rank_ids):
+            issues.extend(
+                replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
+                for issue in validate_trace(self.rank_stream(pos))
+            )
+        return issues
 
     # -- analyses --------------------------------------------------------------
 
@@ -217,12 +269,12 @@ class MergedTrace:
         blocks until the collective completes; the interval spans from
         its (aligned) arrival to the aligned completion.  Intervals not
         exceeding ``min_wait_cycles`` are dropped — the bottleneck rank
-        itself never appears.
+        itself never appears.  Needs no event access: the sync points
+        were fixed by the alignment.
         """
-        labels = self.rank_labels
         intervals = [
             WaitInterval(
-                rank=labels[pos],
+                rank=self.rank_ids[pos],
                 sync_index=sp.index,
                 op=sp.op,
                 begin_cycles=sp.aligned_cycles - wait,
@@ -250,58 +302,56 @@ class MergedTrace:
         from the previous collective's completion (``aligned_{k-1}``)
         until its own arrival at the next one (``aligned_k − wait_{r,k}``)
         — the trailing wait interval is excluded, so durations measure
-        work, not blocking.
+        work, not blocking.  Within one segment a rank's offset is
+        constant, so window durations equal wait-free local durations;
+        the tail segment ends at each rank's last aligned event.
         """
-        if not self.per_rank or not any(self.per_rank):
+        if not any(self.events_per_rank):
             return []
-        segments: list[CriticalSegment] = []
-        ops = ["start", *[sp.op for sp in self.sync_points], "end"]
-        windows = self._segment_windows()
+        windows: list[list[tuple[float, float]]] = []
+        begin = 0.0
+        for sp in self.sync_points:
+            windows.append(
+                [(begin, sp.aligned_cycles - wait) for wait in sp.wait_cycles]
+            )
+            begin = sp.aligned_cycles
+        windows.append([(begin, max(last, begin)) for last in self.last_aligned])
         # one forward pass per rank computes every segment's top region
         # (windows are disjoint and ascending), keeping the whole walk
         # linear in the trace length instead of per-segment re-walks
         tops = [
             _top_regions_by_segment(
-                self.per_rank[rank],
-                [windows[seg][rank] for seg in range(len(windows))],
+                self.rank_stream(pos), [window[pos] for window in windows]
             )
-            for rank in range(self.ranks)
+            for pos in range(self.ranks)
         ]
-        labels = self.rank_labels
-        for seg in range(len(ops) - 1):
-            durations = [end - begin for begin, end in windows[seg]]
+        ops = ["start", *[sp.op for sp in self.sync_points], "end"]
+        segments: list[CriticalSegment] = []
+        for seg, window in enumerate(windows):
+            durations = [end - begin for begin, end in window]
             pos = max(range(self.ranks), key=lambda r: (durations[r], -r))
             segments.append(
                 CriticalSegment(
                     index=seg,
                     begin_op=ops[seg],
                     end_op=ops[seg + 1],
-                    rank=labels[pos],
+                    rank=self.rank_ids[pos],
                     duration_cycles=durations[pos],
                     top_region=tops[pos][seg],
                 )
             )
         return segments
 
-    def _segment_windows(self) -> list[list[tuple[float, float]]]:
-        return segment_windows(
-            self.sync_points,
-            [
-                self.per_rank[r][-1].timestamp_cycles if self.per_rank[r] else 0.0
-                for r in range(self.ranks)
-            ],
-        )
-
     # -- rendering -------------------------------------------------------------
 
     def render(self, *, max_wait_states: int = 8) -> str:
         lines = [
             "=" * 64,
-            f"Merged trace — {self.ranks} ranks, {len(self.events)} events, "
-            f"{len(self.sync_points)} sync point(s)",
+            f"Merged trace — {self.ranks} ranks, {sum(self.events_per_rank)} "
+            f"events, {len(self.sync_points)} sync point(s)",
             "=" * 64,
         ]
-        for pos, rank in enumerate(self.rank_labels):
+        for pos, rank in enumerate(self.rank_ids):
             lines.append(
                 f"  rank {rank}: {self.events_per_rank[pos]} events, "
                 f"collective wait {self.rank_offsets[pos]:.0f} cycles"
@@ -326,13 +376,42 @@ class MergedTrace:
         return "\n".join(lines)
 
 
-def _sync_sequence(events: Sequence[TraceEvent]) -> list[tuple[str, float]]:
-    """The (op, local timestamp) sequence of a rank's sync-point events."""
-    return [
-        (ev.region, ev.timestamp_cycles)
-        for ev in events
-        if ev.kind is TraceEventKind.MPI and ev.region in SYNC_OPS
-    ]
+class MergedTrace(AlignedTrace):
+    """An N-rank timeline held in memory: aligned per-rank lists plus
+    the merged ``events`` list."""
+
+    def __init__(
+        self,
+        per_rank_events: Sequence[Sequence[TraceEvent]],
+        rank_ids: "Sequence[int] | None" = None,
+    ) -> None:
+        super().__init__(per_rank_events, rank_ids)
+        #: per-rank aligned event streams (rank order), kept for analyses
+        self.per_rank: list[list[RankedTraceEvent]] = [
+            list(align_stream(rank, events, plan))
+            for rank, events, plan in zip(
+                self.rank_ids, per_rank_events, self.schedule
+            )
+        ]
+        #: the merged stream: aligned timestamps, ordered by (time, rank)
+        self.events: list[RankedTraceEvent] = list(self._timeline())
+
+    def rank_stream(self, pos: int) -> Iterator[RankedTraceEvent]:
+        return iter(self.per_rank[pos])
+
+
+def _scan(events: Iterable[TraceEvent]) -> tuple[list[tuple[str, float]], int, float]:
+    """One pass over a rank's raw events: its ``(op, local timestamp)``
+    sync sequence, its event count and its last timestamp."""
+    sync_seq: list[tuple[str, float]] = []
+    count = 0
+    last_t = 0.0
+    for ev in events:
+        count += 1
+        last_t = ev.timestamp_cycles
+        if ev.kind is TraceEventKind.MPI and ev.region in SYNC_OPS:
+            sync_seq.append((ev.region, last_t))
+    return sync_seq, count, last_t
 
 
 def _alignment_anchors(
@@ -447,62 +526,6 @@ def _offset_at(plan: "list[tuple[float, float]]", t: float) -> float:
     return offset
 
 
-def validate_merge_order(
-    events: Iterable[RankedTraceEvent],
-) -> Iterator[TraceIssue]:
-    """Check global ``(timestamp, rank)`` order of a merged stream."""
-    last_key = (-1.0, -1)
-    for ev in events:
-        key = (ev.timestamp_cycles, ev.rank)
-        if key < last_key:
-            yield TraceIssue(
-                "merge-order",
-                ev.region,
-                f"merged stream out of order at rank {ev.rank} {ev.region}",
-                rank=ev.rank,
-            )
-        last_key = key
-
-
-def validate_rank_stream(
-    rank: int, events: Iterable[TraceEvent]
-) -> Iterator[TraceIssue]:
-    """Single-stream checks with the rank stamped into each issue."""
-    for issue in validate_trace(events):
-        yield replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
-
-
-def segment_windows(
-    sync_points: Sequence[SyncPoint],
-    last_aligned: Sequence[float],
-) -> list[list[tuple[float, float]]]:
-    """Aligned ``(begin, end)`` work window per segment per rank.
-
-    Within one segment a rank's clock offset is constant, so the
-    aligned window bounds are exact shifts of the local ones and window
-    durations equal wait-free local durations.  ``last_aligned[r]`` is
-    rank r's aligned final-event timestamp, bounding the tail segment.
-    """
-    ranks = len(last_aligned)
-    windows: list[list[tuple[float, float]]] = []
-    begin_all = [0.0] * ranks
-    for sp in sync_points:
-        windows.append(
-            [
-                (begin_all[r], sp.aligned_cycles - sp.wait_cycles[r])
-                for r in range(ranks)
-            ]
-        )
-        begin_all = [sp.aligned_cycles] * ranks
-    windows.append(
-        [
-            (begin_all[r], max(last_aligned[r], begin_all[r]))
-            for r in range(ranks)
-        ]
-    )
-    return windows
-
-
 def merge_rank_traces(
     per_rank_events: Sequence[Sequence[TraceEvent]],
     *,
@@ -510,8 +533,10 @@ def merge_rank_traces(
 ) -> MergedTrace:
     """Merge N per-rank event streams into one aligned, rank-tagged timeline.
 
-    Implements the logical-clock rule described in the module docstring
-    via :func:`compute_alignment` + :func:`align_stream`.
+    Implements the logical-clock rule described in the module docstring;
+    the streams are scanned once for alignment, then aligned into
+    :attr:`MergedTrace.per_rank` and k-way merged into
+    :attr:`MergedTrace.events`.
 
     ``rank_ids`` names the true rank of each input stream (ascending) —
     a degraded run merges only the surviving ranks, and their timeline
@@ -522,27 +547,7 @@ def merge_rank_traces(
     produced the same per-rank streams (the merge never looks at
     anything but the streams themselves).
     """
-    ranks = len(per_rank_events)
-    ids = resolve_rank_ids(ranks, rank_ids)
-    streams = [list(s) for s in per_rank_events]
-    sync_points, offsets, schedule = compute_alignment(
-        [_sync_sequence(s) for s in streams]
-    )
-
-    aligned_streams = [
-        list(align_stream(ids[pos], stream, schedule[pos]))
-        for pos, stream in enumerate(streams)
-    ]
-
-    return MergedTrace(
-        ranks=ranks,
-        events=merge_streams(aligned_streams),
-        sync_points=sync_points,
-        rank_offsets=offsets,
-        events_per_rank=tuple(len(s) for s in streams),
-        per_rank=aligned_streams,
-        rank_ids=ids,
-    )
+    return MergedTrace(per_rank_events, rank_ids)
 
 
 def resolve_rank_ids(
@@ -562,7 +567,7 @@ def resolve_rank_ids(
 
 
 def _top_regions_by_segment(
-    events: Sequence[RankedTraceEvent],
+    events: Iterable[RankedTraceEvent],
     windows: Sequence[tuple[float, float]],
 ) -> list["str | None"]:
     """Per window, the region with the largest exclusive time inside it.

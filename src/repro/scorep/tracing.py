@@ -4,7 +4,7 @@ Score-P is "a widely used profiling **and tracing** infrastructure"
 (paper §I).  Besides the call-path profile, the measurement runtime can
 record a full event trace — enter/leave per region plus MPI operation
 markers — which downstream tools (Vampir, Scalasca) consume as OTF2.
-We model the event stream and a JSON-lines serialisation.
+We model the event stream here; :mod:`repro.trace.store` persists it.
 
 Tracing costs more per event than profiling (buffer writes, timestamp
 acquisition); the cost model charges ``TRACE_EVENT_EXTRA`` on top of the
@@ -14,11 +14,8 @@ normal handler cost, which is why production measurements filter first.
 from __future__ import annotations
 
 import enum
-import heapq
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import CapiError
 from repro.execution.clock import VirtualClock
@@ -62,32 +59,6 @@ class RankedTraceEvent:
 
     def untagged(self) -> TraceEvent:
         return TraceEvent(self.kind, self.region, self.timestamp_cycles, self.mid)
-
-
-def tag_events(
-    rank: int, events: Iterable[TraceEvent]
-) -> list[RankedTraceEvent]:
-    """Tag one rank's event stream with its rank (OTF2 location id)."""
-    return [
-        RankedTraceEvent(rank, ev.kind, ev.region, ev.timestamp_cycles, ev.mid)
-        for ev in events
-    ]
-
-
-def merge_streams(
-    streams: Sequence[Sequence[RankedTraceEvent]],
-) -> list[RankedTraceEvent]:
-    """Interleave per-rank streams into one globally ordered timeline.
-
-    Each input stream must be timestamp-monotone (which per-rank tracer
-    output always is); the merge is a k-way heap merge ordered by
-    ``(timestamp, rank)``, so cross-rank timestamp ties deterministically
-    break toward the lower rank and the result is bit-stable regardless
-    of which backend produced the inputs.
-    """
-    return list(
-        heapq.merge(*streams, key=lambda ev: (ev.timestamp_cycles, ev.rank))
-    )
 
 
 @dataclass
@@ -159,31 +130,6 @@ class ScorePTracer:
             self.spilled += len(self.events)
             self.events.clear()
         return self.writer.close()
-
-    def save(self, path: str | Path) -> int:
-        events = self.all_events()
-        with open(path, "w") as fh:
-            for ev in events:
-                record = {
-                    "k": ev.kind.value, "r": ev.region, "t": ev.timestamp_cycles
-                }
-                if ev.mid is not None:
-                    record["m"] = ev.mid
-                fh.write(json.dumps(record) + "\n")
-        return len(events)
-
-    @classmethod
-    def load(cls, path: str | Path) -> list[TraceEvent]:
-        out = []
-        for line in Path(path).read_text().splitlines():
-            data = json.loads(line)
-            out.append(
-                TraceEvent(
-                    TraceEventKind(data["k"]), data["r"], data["t"],
-                    data.get("m"),
-                )
-            )
-        return out
 
 
 @dataclass(frozen=True)

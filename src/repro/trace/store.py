@@ -275,11 +275,9 @@ def load_location_file(
 
 
 def count_location_events(path: str | Path) -> int:
-    """Event count of a location file (streaming, lenient)."""
-    n = 0
-    for _ in iter_location_file(path, strict=False):
-        n += 1
-    return n
+    """Event count of a location file, streaming; raises
+    :class:`TraceStoreError` on a truncated or damaged file."""
+    return sum(1 for _ in iter_location_file(path))
 
 
 # -- global definitions ----------------------------------------------------------

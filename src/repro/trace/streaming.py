@@ -1,51 +1,33 @@
-"""Streaming k-way merge over an on-disk trace archive.
+"""Streaming merge over an on-disk trace archive.
 
-``merge_rank_traces`` materialises every rank's event list; fine for a
-test run, fatal for a fleet.  This module produces the *same*
-rank-tagged, collective-aligned timeline (property-tested
-bit-identical) while holding O(ranks × buffer) memory:
+:class:`StreamingTrace` is the on-disk view of the one merged-trace
+core in :mod:`repro.multirank.tracing`: the alignment, the k-way
+``(timestamp, rank)`` merge and every analysis are the core's; only
+the event source differs.  Each rank's events come from
+:func:`~repro.trace.store.iter_location` instead of an in-memory list,
+so the view holds O(ranks × buffer) memory:
 
-1. **Alignment pass** — each location file is scanned once, streaming,
-   collecting only its synchronisation-event sequence plus an event
-   count and last timestamp.  :func:`compute_alignment` then solves
-   the logical clocks exactly as the in-memory merge does.
-2. **Merge pass** — ``heapq.merge`` over per-location readers wrapped
-   in :func:`align_stream`, keyed ``(timestamp, rank)``.  At any
-   moment each reader holds one decoded event plus its file buffer.
+1. **Alignment pass** (at construction) — each location file is read
+   once, streaming, for its sync sequence, event count and last
+   timestamp; the core solves the logical clocks from those.
+2. **Every later pass** — :meth:`StreamingTrace.rank_stream` re-reads
+   a location file and re-aligns it; :meth:`StreamingTrace.events`
+   merges those readers, each holding one decoded event plus its file
+   buffer.
 
-Analyses (:meth:`StreamingTrace.wait_states`,
-:meth:`StreamingTrace.critical_path`, :meth:`StreamingTrace.validate`)
-run off sync points and single-pass generator walks — no full
-materialisation.
+The disk round trip is lossless (timestamps are bit-exact JSON
+doubles), so ``open_merged_trace(d)`` agrees with
+``merge_rank_traces([load_location(d, r) for r in ranks])`` on events,
+sync points, waits, critical path and validation.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.multirank.tracing import (
-    SYNC_OPS,
-    MergedTrace,
-    SyncPoint,
-    WaitInterval,
-    _offset_at,
-    _top_regions_by_segment,
-    align_stream,
-    compute_alignment,
-    merge_rank_traces,
-    resolve_rank_ids,
-    segment_windows,
-    validate_merge_order,
-    validate_rank_stream,
-)
-from repro.scorep.tracing import (
-    RankedTraceEvent,
-    TraceEventKind,
-    TraceIssue,
-)
+from repro.multirank.tracing import AlignedTrace, align_stream
+from repro.scorep.tracing import RankedTraceEvent, TraceEvent
 from repro.trace.store import (
     TraceStoreError,
     discover_ranks,
@@ -54,157 +36,30 @@ from repro.trace.store import (
 )
 
 
-def _scan_location(
-    trace_dir: str | Path, rank: int, *, strict: bool
-) -> tuple[list[tuple[str, float]], int, float]:
-    """One streaming pass: (sync sequence, event count, last timestamp)."""
-    sync_seq: list[tuple[str, float]] = []
-    count = 0
-    last_t = 0.0
-    for ev in iter_location(trace_dir, rank, strict=strict):
-        count += 1
-        last_t = ev.timestamp_cycles
-        if ev.kind is TraceEventKind.MPI and ev.region in SYNC_OPS:
-            sync_seq.append((ev.region, ev.timestamp_cycles))
-    return sync_seq, count, last_t
-
-
-@dataclass
-class StreamingTrace:
+class StreamingTrace(AlignedTrace):
     """Lazy view of an on-disk multi-rank trace archive.
 
-    Mirrors the :class:`~repro.multirank.tracing.MergedTrace` surface —
-    same ``sync_points`` / ``rank_offsets`` / analyses — but ``events()``
-    is a generator re-reading the location files on every call, so the
-    resident set stays bounded by the readers' buffers.
+    ``events()`` is a generator re-reading the location files on every
+    call, so the resident set stays bounded by the readers' buffers.
     """
 
-    trace_dir: str
-    ranks: int
-    rank_ids: tuple[int, ...]
-    sync_points: list[SyncPoint]
-    #: final per-rank logical-clock offset == total synchronisation wait
-    rank_offsets: tuple[float, ...]
-    events_per_rank: tuple[int, ...]
-    #: aligned timestamp of each rank's final event
-    last_aligned: tuple[float, ...]
-    #: per-rank alignment shift schedules (compute_alignment output)
-    schedule: list[list[tuple[float, float]]] = field(repr=False)
-    strict: bool = True
+    def __init__(
+        self, trace_dir: str | Path, rank_ids: Sequence[int], *, strict: bool = True
+    ) -> None:
+        self.trace_dir = str(trace_dir)
+        self.strict = strict
+        super().__init__([self._read(rank) for rank in rank_ids], rank_ids)
 
-    # -- stream access ---------------------------------------------------------
-
-    @property
-    def rank_labels(self) -> tuple[int, ...]:
-        return self.rank_ids
-
-    @property
-    def rank_wait_cycles(self) -> tuple[float, ...]:
-        return self.rank_offsets
-
-    @property
-    def elapsed_cycles(self) -> float:
-        return max(self.last_aligned, default=0.0)
+    def _read(self, rank: int) -> Iterator[TraceEvent]:
+        return iter_location(self.trace_dir, rank, strict=self.strict)
 
     def rank_stream(self, pos: int) -> Iterator[RankedTraceEvent]:
-        """Rank at position ``pos``, aligned and tagged, streamed."""
-        return align_stream(
-            self.rank_ids[pos],
-            iter_location(self.trace_dir, self.rank_ids[pos], strict=self.strict),
-            self.schedule[pos],
-        )
+        rank = self.rank_ids[pos]
+        return align_stream(rank, self._read(rank), self.schedule[pos])
 
     def events(self) -> Iterator[RankedTraceEvent]:
         """The merged global timeline, streamed in ``(t, rank)`` order."""
-        return heapq.merge(
-            *(self.rank_stream(pos) for pos in range(self.ranks)),
-            key=lambda ev: (ev.timestamp_cycles, ev.rank),
-        )
-
-    def materialize(self) -> MergedTrace:
-        """Load everything and build the in-memory equivalent."""
-        return merge_rank_traces(
-            [
-                list(iter_location(self.trace_dir, rank, strict=self.strict))
-                for rank in self.rank_ids
-            ],
-            rank_ids=self.rank_ids,
-        )
-
-    # -- consistency -----------------------------------------------------------
-
-    def validate(self) -> list[TraceIssue]:
-        """Same checks as :meth:`MergedTrace.validate`, bounded memory."""
-        issues = list(validate_merge_order(self.events()))
-        for pos, rank in enumerate(self.rank_ids):
-            issues.extend(
-                validate_rank_stream(
-                    rank,
-                    iter_location(self.trace_dir, rank, strict=self.strict),
-                )
-            )
-        return issues
-
-    # -- analyses --------------------------------------------------------------
-
-    def wait_states(self, *, min_wait_cycles: float = 0.0) -> list[WaitInterval]:
-        """Per-rank wait intervals at collectives, largest first.
-
-        Sync points were fixed by the alignment pass, so this needs no
-        event access at all — identical to the in-memory analysis.
-        """
-        labels = self.rank_labels
-        intervals = [
-            WaitInterval(
-                rank=labels[pos],
-                sync_index=sp.index,
-                op=sp.op,
-                begin_cycles=sp.aligned_cycles - wait,
-                end_cycles=sp.aligned_cycles,
-            )
-            for sp in self.sync_points
-            for pos, wait in enumerate(sp.wait_cycles)
-            if wait > min_wait_cycles
-        ]
-        intervals.sort(key=lambda w: (-w.wait_cycles, w.sync_index, w.rank))
-        return intervals
-
-    def critical_path(self):
-        """Critical-path walk; one streamed pass per rank.
-
-        Same segment rule as :meth:`MergedTrace.critical_path` — the
-        per-rank top-region attribution consumes each rank's aligned
-        stream as a generator.
-        """
-        from repro.multirank.tracing import CriticalSegment
-
-        if not any(self.events_per_rank):
-            return []
-        windows = segment_windows(self.sync_points, self.last_aligned)
-        tops = [
-            _top_regions_by_segment(
-                self.rank_stream(pos),
-                [windows[seg][pos] for seg in range(len(windows))],
-            )
-            for pos in range(self.ranks)
-        ]
-        ops = ["start", *[sp.op for sp in self.sync_points], "end"]
-        labels = self.rank_labels
-        segments = []
-        for seg in range(len(ops) - 1):
-            durations = [end - begin for begin, end in windows[seg]]
-            pos = max(range(self.ranks), key=lambda r: (durations[r], -r))
-            segments.append(
-                CriticalSegment(
-                    index=seg,
-                    begin_op=ops[seg],
-                    end_op=ops[seg + 1],
-                    rank=labels[pos],
-                    duration_cycles=durations[pos],
-                    top_region=tops[pos][seg],
-                )
-            )
-        return segments
+        return self._timeline()
 
 
 def open_merged_trace(
@@ -219,7 +74,6 @@ def open_merged_trace(
     one, the discovered location files) — pass it explicitly to merge a
     subset.  The alignment pass runs here; event access stays lazy.
     """
-    trace_dir = Path(trace_dir)
     if rank_ids is None:
         try:
             rank_ids = list(read_definitions(trace_dir).locations)
@@ -227,30 +81,4 @@ def open_merged_trace(
             rank_ids = discover_ranks(trace_dir)
     if not rank_ids:
         raise TraceStoreError(f"no trace locations found in {trace_dir}")
-    ids = resolve_rank_ids(len(rank_ids), rank_ids)
-
-    sync_seqs: list[list[tuple[str, float]]] = []
-    counts: list[int] = []
-    last_locals: list[float] = []
-    for rank in ids:
-        sync_seq, count, last_t = _scan_location(trace_dir, rank, strict=strict)
-        sync_seqs.append(sync_seq)
-        counts.append(count)
-        last_locals.append(last_t)
-
-    sync_points, offsets, schedule = compute_alignment(sync_seqs)
-    last_aligned = tuple(
-        last_locals[pos] + _offset_at(schedule[pos], last_locals[pos])
-        for pos in range(len(ids))
-    )
-    return StreamingTrace(
-        trace_dir=str(trace_dir),
-        ranks=len(ids),
-        rank_ids=ids,
-        sync_points=sync_points,
-        rank_offsets=offsets,
-        events_per_rank=tuple(counts),
-        last_aligned=last_aligned,
-        schedule=schedule,
-        strict=strict,
-    )
+    return StreamingTrace(trace_dir, rank_ids, strict=strict)

@@ -16,9 +16,8 @@ Point-to-point matching uses the message ids stamped by
 :class:`repro.simmpi.messages.MessageMatcher` (SPMD ring pairing:
 send ``k`` on rank ``r`` ↔ recv ``k`` on rank ``(r+1) % world``), all
 in aligned logical time so cross-rank comparisons are meaningful.
-Works over :class:`~repro.multirank.tracing.MergedTrace` and
-:class:`~repro.trace.streaming.StreamingTrace` alike — the walk is a
-single pass per rank stream.
+Works over either view of the merged-trace core through its
+``rank_stream`` hook — the walk is a single pass per rank stream.
 """
 
 from __future__ import annotations
@@ -116,9 +115,9 @@ def classify_wait_states(
 ) -> list[ClassifiedWait]:
     """Classify every wait in a merged trace, largest first.
 
-    ``trace`` is a :class:`MergedTrace` or :class:`StreamingTrace`
-    (anything with ``rank_labels``, ``sync_points``, ``wait_states()``
-    and per-rank aligned streams).  ``world_ranks`` names the original
+    ``trace`` is either view of the merged-trace core
+    (:class:`~repro.multirank.tracing.MergedTrace` or
+    :class:`~repro.trace.streaming.StreamingTrace`).  ``world_ranks`` names the original
     world size for degraded runs so ring partners resolve to true rank
     ids; defaults to ``max(rank_labels) + 1``.
     """
@@ -131,8 +130,7 @@ def classify_wait_states(
     recvs_by_key: dict[tuple[int, int], _P2PEvent] = {}
     sync_regions: dict[tuple[int, float, str], str | None] = {}
     for pos, rank in enumerate(labels):
-        stream = _rank_stream(trace, pos)
-        sends, recvs, regions = _walk_rank(rank, stream)
+        sends, recvs, regions = _walk_rank(rank, trace.rank_stream(pos))
         for s in sends:
             sends_by_key[(s.rank, s.mid)] = s
         for r in recvs:
@@ -195,14 +193,6 @@ def classify_wait_states(
         key=lambda w: (-w.wait_cycles, w.rank, w.begin_cycles, w.kind)
     )
     return waits
-
-
-def _rank_stream(trace, pos: int) -> Iterable[RankedTraceEvent]:
-    """Positional aligned stream from either trace flavour."""
-    rank_stream = getattr(trace, "rank_stream", None)
-    if rank_stream is not None:
-        return rank_stream(pos)
-    return trace.per_rank[pos]
 
 
 # -- summaries -------------------------------------------------------------------

@@ -41,8 +41,8 @@ from repro.trace.alerts import Alert, health_alerts
 from repro.trace.store import (
     DEFINITIONS_NAME,
     TraceStoreError,
+    count_location_events,
     discover_ranks,
-    iter_location_file,
     location_path,
     read_definitions,
     read_health_record,
@@ -110,7 +110,7 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
     for rank in present:
         path = location_path(run_dir, rank)
         try:
-            count = count_strict(path)
+            count = count_location_events(path)
         except TraceStoreError as exc:
             alerts.append(
                 Alert(
@@ -209,14 +209,6 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
         for alert in health_alerts(health):
             alerts.append(_with_source(alert, source))
     return alerts
-
-
-def count_strict(path: Path) -> int:
-    """Strict event count of one location file (raises on truncation)."""
-    n = 0
-    for _ in iter_location_file(path, strict=True):
-        n += 1
-    return n
 
 
 def _with_source(alert: Alert, source: str) -> Alert:

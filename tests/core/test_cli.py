@@ -60,3 +60,19 @@ class TestCli:
         rc = main(["select", "--cg", str(cg), "--spec", str(bad), "-o", str(tmp_path / "o")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_missing_cg_file_is_a_typed_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        rc = main(["select", "--cg", str(missing), "--spec", "mpi", "-o", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("capi: error: cannot read call graph")
+        assert "missing.json" in err
+
+    def test_missing_spec_file_is_a_typed_error(self, cg_file, tmp_path, capsys):
+        missing = tmp_path / "missing.capi"
+        rc = main(["select", "--cg", str(cg_file), "--spec", str(missing), "-o", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("capi: error: cannot read spec file")
+        assert "missing.capi" in err

@@ -330,12 +330,6 @@ class TestCompileEvaluateSplit:
         assert compiled.cache_key == cache_key(spec_ast.statements[-1])
         assert compiled.cache_key == 'onCallPathTo(byName(s\'MPI_.*\',%%))'
 
-    def test_public_key_api_is_the_old_private_one(self):
-        from repro.core import pipeline
-
-        assert pipeline._canonical_key is pipeline.cache_key
-        assert pipeline._attach_cache_key is pipeline.attach_cache_key
-
     def test_compiled_spec_is_graph_independent(self):
         from repro.core.pipeline import compile_spec
 

@@ -5,10 +5,17 @@ import pytest
 from repro.core.ic import InstrumentationConfig
 from repro.errors import CapiError
 from repro.execution.workload import Workload
-from repro.multirank import ImbalanceSpec, merge_rank_traces, run_multirank
+from repro.multirank import (
+    ImbalanceSpec,
+    align_stream,
+    merge_rank_traces,
+    run_multirank,
+)
 from repro.scorep.tracing import TraceEvent, TraceEventKind
+from repro.trace import open_merged_trace
 from repro.workflow import build_app, run_app
 from tests.conftest import make_demo_builder
+from tests.trace.conftest import write_archive
 
 WL = Workload(site_cap=4)
 E, L, M = TraceEventKind.ENTER, TraceEventKind.LEAVE, TraceEventKind.MPI
@@ -122,6 +129,35 @@ class TestAlignment:
         without = [ev(E, "main", 1), ev(L, "main", 2)]
         with pytest.raises(ValueError, match="every rank or no rank"):
             merge_rank_traces([with_sync, without])
+
+
+class TestKWayMerge:
+    """The one ``(timestamp, rank)`` merge behind both trace views."""
+
+    def test_orders_by_time_then_rank(self, tmp_path):
+        a = [ev(E, "x", 1.0), ev(L, "x", 5.0)]
+        b = [ev(E, "y", 1.0), ev(L, "y", 3.0)]
+        write_archive(tmp_path, {0: a, 1: b})
+        expected = [(1.0, 0), (1.0, 1), (3.0, 1), (5.0, 0)]
+        for events in (
+            merge_rank_traces([a, b]).events,
+            list(open_merged_trace(tmp_path).events()),
+        ):
+            assert [(e.timestamp_cycles, e.rank) for e in events] == expected
+
+    def test_time_beats_stream_position(self):
+        merged = merge_rank_traces([[ev(E, "x", 2.0)], [ev(E, "y", 1.0)]])
+        assert [(e.rank, e.region) for e in merged.events] == [(1, "y"), (0, "x")]
+
+    def test_align_stream_tags_and_preserves_payload(self):
+        events = [
+            TraceEvent(E, "main", 1.0),
+            TraceEvent(M, "MPI_Send", 1.5, mid=2),
+            TraceEvent(L, "main", 2.0),
+        ]
+        tagged = list(align_stream(3, events, []))
+        assert all(e.rank == 3 for e in tagged)
+        assert [e.untagged() for e in tagged] == events
 
 
 class TestAnalyses:

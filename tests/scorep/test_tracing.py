@@ -6,12 +6,10 @@ from repro.execution.clock import VirtualClock
 from repro.scorep.tracing import (
     RankedTraceEvent,
     ScorePTracer,
-    TraceEvent,
     TraceEventKind,
-    merge_streams,
-    tag_events,
     validate_trace,
 )
+from repro.trace.store import TraceWriter, iter_location_file
 
 
 @pytest.fixture
@@ -56,15 +54,25 @@ class TestRecording:
         assert len(tracer.all_events()) == 10
 
 
+def write_and_read_back(events, trace_dir):
+    """Publish ``events`` as one location file and stream it back."""
+    writer = TraceWriter(trace_dir, 0)
+    writer.write_events(events)
+    meta = writer.close()
+    return meta, list(iter_location_file(meta.path))
+
+
 class TestPersistence:
+    """Tracer output survives the on-disk location format unchanged."""
+
     def test_save_load_roundtrip(self, tracer, tmp_path):
         tracer.enter("main")
-        tracer.mpi("MPI_Barrier")
+        tracer.mpi("MPI_Send", mid=4)
         tracer.leave("main")
-        path = tmp_path / "trace.jsonl"
-        assert tracer.save(path) == 3
-        loaded = ScorePTracer.load(path)
+        meta, loaded = write_and_read_back(tracer.all_events(), tmp_path)
+        assert meta.events == 3
         assert loaded == tracer.all_events()
+        assert loaded[1].mid == 4
 
     def test_roundtrip_preserves_kinds_and_timestamps_exactly(
         self, tracer, tmp_path
@@ -76,9 +84,7 @@ class TestPersistence:
         tracer.leave("solve")
         tracer.clock.advance(0.25)
         tracer.leave("main")
-        path = tmp_path / "trace.jsonl"
-        tracer.save(path)
-        loaded = ScorePTracer.load(path)
+        _, loaded = write_and_read_back(tracer.all_events(), tmp_path)
         original = tracer.all_events()
         assert len(loaded) == len(original)
         assert [e.kind for e in loaded] == [e.kind for e in original]
@@ -89,20 +95,30 @@ class TestPersistence:
         ]
 
     def test_roundtrip_across_buffer_flush_threshold(self, tmp_path):
-        """A trace that flushed mid-run serialises flushed + live events
-        in recording order, and the count survives exactly."""
-        tracer = ScorePTracer(clock=VirtualClock(), buffer_size=8)
-        for i in range(10):
-            tracer.enter(f"r{i}")
-            tracer.mpi("MPI_Barrier")
-            tracer.leave(f"r{i}")
+        """A tracer whose buffer spills to the writer mid-run publishes
+        spilled + live events in recording order, and the count
+        survives exactly."""
+
+        def record(tracer):
+            for i in range(10):
+                tracer.enter(f"r{i}")
+                tracer.mpi("MPI_Barrier")
+                tracer.leave(f"r{i}")
+
+        reference = ScorePTracer(clock=VirtualClock())
+        record(reference)
+        tracer = ScorePTracer(
+            clock=VirtualClock(),
+            buffer_size=8,
+            writer=TraceWriter(tmp_path, 0, buffer_events=5),
+        )
+        record(tracer)
         assert tracer.flush_count >= 3
-        assert tracer.events  # live tail not yet flushed
-        path = tmp_path / "trace.jsonl"
-        count = tracer.save(path)
-        assert count == 30
-        loaded = ScorePTracer.load(path)
-        assert loaded == tracer.all_events()
+        assert tracer.events  # live tail not yet spilled
+        meta = tracer.close_writer()
+        assert meta.events == 30
+        loaded = list(iter_location_file(meta.path))
+        assert loaded == reference.all_events()
         stamps = [e.timestamp_cycles for e in loaded]
         assert stamps == sorted(stamps)
 
@@ -165,30 +181,6 @@ class TestValidation:
 
 
 class TestRankTaggedStreams:
-    def test_tag_events_preserves_payload(self):
-        events = [
-            TraceEvent(TraceEventKind.ENTER, "main", 1.0),
-            TraceEvent(TraceEventKind.LEAVE, "main", 2.0),
-        ]
-        tagged = tag_events(3, events)
-        assert all(ev.rank == 3 for ev in tagged)
-        assert [ev.untagged() for ev in tagged] == events
-
-    def test_merge_streams_orders_by_time_then_rank(self):
-        a = tag_events(0, [TraceEvent(TraceEventKind.ENTER, "x", 1.0),
-                           TraceEvent(TraceEventKind.LEAVE, "x", 5.0)])
-        b = tag_events(1, [TraceEvent(TraceEventKind.ENTER, "y", 1.0),
-                           TraceEvent(TraceEventKind.LEAVE, "y", 3.0)])
-        merged = merge_streams([a, b])
-        assert [(ev.timestamp_cycles, ev.rank) for ev in merged] == [
-            (1.0, 0), (1.0, 1), (3.0, 1), (5.0, 0),
-        ]
-
-    def test_merge_streams_is_input_order_invariant(self):
-        a = tag_events(0, [TraceEvent(TraceEventKind.ENTER, "x", 2.0)])
-        b = tag_events(1, [TraceEvent(TraceEventKind.ENTER, "y", 1.0)])
-        assert merge_streams([a, b]) == merge_streams([b, a])
-
     def test_ranked_event_is_hashable_value_object(self):
         ev = RankedTraceEvent(0, TraceEventKind.MPI, "MPI_Barrier", 7.0)
         assert ev == RankedTraceEvent(0, TraceEventKind.MPI, "MPI_Barrier", 7.0)

@@ -92,6 +92,7 @@ class TestRunAppModes:
 
     def test_tracing_mode(self, demo_app, demo_ic, tmp_path):
         from repro.scorep.tracing import TraceEventKind, validate_trace
+        from repro.trace.store import TraceWriter, iter_location_file
 
         out = run_app(
             demo_app, mode="ic", tool="scorep", ic=demo_ic, workload=WL,
@@ -110,9 +111,10 @@ class TestRunAppModes:
             demo_app, mode="ic", tool="scorep", ic=demo_ic, workload=WL
         )
         assert out.result.t_total > plain.result.t_total
-        path = tmp_path / "trace.jsonl"
-        out.tracer.save(path)
-        assert path.exists()
+        # the trace survives the on-disk location format unchanged
+        writer = TraceWriter(tmp_path, 0)
+        writer.write_events(events)
+        assert list(iter_location_file(writer.close().path)) == events
 
     def test_tracing_needs_scorep_on_every_path(self, demo_app, demo_ic):
         """tracing with a non-scorep tool fails loudly on the single-rank

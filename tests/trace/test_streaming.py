@@ -114,11 +114,17 @@ class TestBitIdentity:
         assert list(streamed.events()) == list(streamed.events())
 
     def test_materialize_matches(self, tmp_path):
+        """Loading every location and merging in memory reproduces the
+        merge of the streams that were written."""
         streams = ring_streams()
         write_archive(tmp_path, streams)
         streamed = open_merged_trace(tmp_path)
+        loaded = merge_rank_traces(
+            [load_location(tmp_path, r) for r in streamed.rank_ids],
+            rank_ids=streamed.rank_ids,
+        )
         merged = merge_rank_traces([streams[r] for r in sorted(streams)])
-        assert streamed.materialize().events == merged.events
+        assert loaded.events == merged.events
 
 
 class TestOpenMergedTrace:
