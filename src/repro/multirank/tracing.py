@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import CapiError
@@ -200,7 +201,7 @@ class AlignedTrace:
         """
         return heapq.merge(
             *(self.rank_stream(pos) for pos in range(self.ranks)),
-            key=lambda ev: (ev.timestamp_cycles, ev.rank),
+            key=attrgetter("timestamp_cycles", "rank"),
         )
 
     @property
@@ -510,8 +511,11 @@ def align_stream(
         while step < len(plan) and ev.timestamp_cycles >= plan[step][0]:
             offset = plan[step][1]
             step += 1
-        yield RankedTraceEvent(
-            rank, ev.kind, ev.region, ev.timestamp_cycles + offset, ev.mid
+        # tuple.__new__ skips the Python frame of the named tuple's
+        # generated __new__ (one per aligned event)
+        yield tuple.__new__(
+            RankedTraceEvent,
+            (rank, ev.kind, ev.region, ev.timestamp_cycles + offset, ev.mid),
         )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import CapiError
 from repro.execution.clock import VirtualClock
@@ -30,8 +30,7 @@ class TraceEventKind(enum.Enum):
     MPI = "MPI"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: TraceEventKind
     region: str
     timestamp_cycles: float
@@ -42,13 +41,17 @@ class TraceEvent:
     mid: "int | None" = None
 
 
-@dataclass(frozen=True)
-class RankedTraceEvent:
+class RankedTraceEvent(NamedTuple):
     """One trace event tagged with its origin rank (OTF2 location).
 
     The multi-rank merge works on these: the rank tag is what lets a
     Vampir-style timeline keep per-rank lanes after the per-rank streams
     are interleaved into one global event order.
+
+    Both event types are named tuples: immutable, picklable, and built
+    at tuple cost, which matters because trace readers build one per
+    decoded line.  Their different lengths keep a ranked event from
+    ever comparing equal to an untagged one.
     """
 
     rank: int

@@ -10,14 +10,20 @@ ids, clock properties).  We mirror that shape:
         rank-00001.evt       location 1 event stream
         health.json          optional supervision record (fault PRs)
 
-Each ``.evt`` file is append-only JSON-lines; every line is one small
-JSON array so the reader never needs the whole file in memory:
+Each ``.evt`` file is append-only JSON-lines, every line one small
+JSON array:
 
     ["H", 1, rank]            header: format version + location id
     ["D", region_id, name]    region definition, interned at first use
     [kind, region_id, t]      event (kind 0=ENTER 1=LEAVE 2=MPI)
     [kind, region_id, t, mid] event carrying a matched message id
     ["F", n_events]           footer: clean-close marker + event count
+
+Readers decode a file a chunk of lines at a time (``_CHUNK_BYTES``,
+one ``json.loads`` per chunk, per-line decoding only for a chunk that
+is not all well-formed lines), so memory stays O(chunk) in trace
+length.  The writer formats event lines itself, byte for byte what
+``json.dumps`` of each record gives.
 
 The footer doubles as a truncation detector: a crashed or corrupted
 writer leaves no footer (or a count that disagrees), which strict
@@ -37,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -51,6 +58,12 @@ _KIND_CODE = {
     TraceEventKind.MPI: 2,
 }
 _CODE_KIND = {code: kind for kind, code in _KIND_CODE.items()}
+#: what ``json`` decodes a number to
+_STAMP_TYPES = frozenset({int, float})
+
+#: ``readlines`` size hint: the reader decodes this many bytes of lines
+#: per ``json.loads`` call
+_CHUNK_BYTES = 1 << 16
 
 DEFINITIONS_NAME = "definitions.json"
 HEALTH_NAME = "health.json"
@@ -139,21 +152,31 @@ class TraceWriter:
         return region_id
 
     def write(self, event: TraceEvent) -> None:
-        if self.closed:
-            raise TraceStoreError(f"writer for rank {self.rank} already closed")
-        record: list = [
-            _KIND_CODE[event.kind],
-            self._region_id(event.region),
-            event.timestamp_cycles,
-        ]
-        if event.mid is not None:
-            record.append(event.mid)
-        self._emit(json.dumps(record))
-        self.events_written += 1
+        self.write_events((event,))
 
     def write_events(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            self.write(event)
+        """Append events, formatting each line as ``json.dumps`` would.
+
+        Finite float timestamps with an ``int`` or absent ``mid`` are
+        formatted directly (``float.__repr__`` is what ``json`` uses);
+        anything else goes through ``json.dumps``, so the bytes never
+        depend on which path wrote them.
+        """
+        if self.closed:
+            raise TraceStoreError(f"writer for rank {self.rank} already closed")
+        for kind, region, t, mid in events:
+            code = _KIND_CODE[kind]
+            region_id = self._region_id(region)
+            plain = isinstance(t, float) and isfinite(t)
+            if plain and mid is None:
+                line = f"[{code}, {region_id}, {float.__repr__(t)}]"
+            elif plain and type(mid) is int:
+                line = f"[{code}, {region_id}, {float.__repr__(t)}, {mid}]"
+            else:
+                record = [code, region_id, t]
+                line = json.dumps(record if mid is None else [*record, mid])
+            self._emit(line)
+            self.events_written += 1
 
     def flush(self) -> None:
         if self._pending:
@@ -193,11 +216,15 @@ def iter_location_file(
 ) -> Iterator[TraceEvent]:
     """Stream one location file back as :class:`TraceEvent`s.
 
-    Line-at-a-time: memory stays O(1) in trace length.  With
-    ``strict=True`` a missing or count-mismatched footer raises
-    :class:`TraceStoreError` once the stream is exhausted (events
-    before the truncation point are still yielded first, so callers
-    can salvage a prefix by catching the error).
+    Reads ``_CHUNK_BYTES`` of lines at a time, so memory stays
+    O(chunk) in trace length.  With ``strict=True`` an undecodable
+    line, or a missing or count-mismatched footer, raises
+    :class:`TraceStoreError`; events before the fault are still
+    yielded first, so callers can salvage a prefix by catching the
+    error.  ``strict=False`` stops quietly at the first undecodable
+    line instead.  A decodable but malformed record (undefined region
+    or kind, missing field, non-numeric timestamp, non-integer ``mid``)
+    raises in either mode.
     """
     path = Path(path)
     if not path.exists():
@@ -206,41 +233,57 @@ def iter_location_file(
     count = 0
     footer_count: int | None = None
     saw_header = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise TraceStoreError(
-                        f"{path}:{lineno}: undecodable line ({exc})"
-                    ) from exc
-                break
-            tag = record[0]
-            if tag == "H":
-                if record[1] != FORMAT_VERSION:
-                    raise TraceStoreError(
-                        f"{path}: unsupported format version {record[1]}"
-                    )
-                saw_header = True
-            elif tag == "D":
-                regions[record[1]] = record[2]
-            elif tag == "F":
-                footer_count = record[1]
-            else:
-                mid = record[3] if len(record) > 3 else None
+    lines_read = 0
+    # surrogateescape: a corrupt byte fails its line's JSON decode
+    # (typed, with a line number) instead of the text layer
+    with open(path, errors="surrogateescape") as fh:
+        while lines := fh.readlines(_CHUNK_BYTES):
+            numbered, bad = _decode_chunk(lines, lines_read)
+            lines_read += len(lines)
+            for lineno, record in numbered:
                 try:
-                    region = regions[record[1]]
-                    kind = _CODE_KIND[tag]
-                except KeyError as exc:
+                    kind = _CODE_KIND.get(record[0])
+                    if kind is not None:
+                        t = record[2]
+                        mid = record[3] if len(record) > 3 else None
+                        if type(t) not in _STAMP_TYPES or not (
+                            mid is None or type(mid) is int
+                        ):
+                            raise TypeError("timestamp or mid of the wrong type")
+                        # tuple.__new__ skips the Python frame of the
+                        # named tuple's generated __new__
+                        event = tuple.__new__(
+                            TraceEvent, (kind, regions[record[1]], t, mid)
+                        )
+                    elif record[0] == "D":
+                        regions[record[1]] = record[2]
+                        continue
+                    elif record[0] == "H":
+                        if record[1] != FORMAT_VERSION:
+                            raise TraceStoreError(
+                                f"{path}: unsupported format version {record[1]}"
+                            )
+                        saw_header = True
+                        continue
+                    elif record[0] == "F":
+                        footer_count = record[1]
+                        continue
+                    else:
+                        raise KeyError(record[0])
+                except (KeyError, IndexError, TypeError) as exc:
                     raise TraceStoreError(
-                        f"{path}:{lineno}: undefined region or kind {record!r}"
+                        f"{path}:{lineno}: malformed record {record!r} "
+                        "(undefined region or kind, or a missing or mistyped field)"
                     ) from exc
                 count += 1
-                yield TraceEvent(kind, region, record[2], mid)
+                yield event
+            if bad is not None:
+                if not strict:
+                    return
+                bad_lineno, exc = bad
+                raise TraceStoreError(
+                    f"{path}:{bad_lineno}: undecodable line ({exc})"
+                ) from exc
     if strict:
         if not saw_header:
             raise TraceStoreError(f"{path}: missing header line")
@@ -254,6 +297,45 @@ def iter_location_file(
                 f"{path}: footer declares {footer_count} event(s) "
                 f"but {count} were read"
             )
+
+
+def _decode_chunk(
+    lines: list[str], lineno: int
+) -> "tuple[Iterable[tuple[int, object]], tuple[int, Exception] | None]":
+    """Decode a chunk of lines that follows line ``lineno``.
+
+    Returns the ``(line number, record)`` pairs and, if a line failed
+    to decode, ``(its line number, the error)``; the pairs are then
+    the records before it.
+
+    A chunk whose every line starts with ``[`` and ends with ``]``,
+    with no other ``[`` anywhere, is decoded with one ``json.loads``.
+    If that succeeds, each line was exactly one JSON array: no record
+    can open on one line and close on another, nor share a line (its
+    closing ``]`` would end the outer list early).  Any other chunk is
+    decoded line by line, skipping blank lines.
+    """
+    text = ",".join(lines)
+    if (
+        text.count("[") == len(lines)
+        and text.count("]\n,[") == len(lines) - 1
+        and text.startswith("[")
+        and text.endswith(("]", "]\n"))
+    ):
+        try:
+            return enumerate(json.loads(f"[{text}]"), lineno + 1), None
+        except ValueError:
+            pass
+    numbered = []
+    for lineno, line in enumerate(lines, lineno + 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            numbered.append((lineno, json.loads(line)))
+        except (ValueError, RecursionError) as exc:
+            return numbered, (lineno, exc)
+    return numbered, None
 
 
 def iter_location(

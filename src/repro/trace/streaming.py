@@ -5,15 +5,14 @@ core in :mod:`repro.multirank.tracing`: the alignment, the k-way
 ``(timestamp, rank)`` merge and every analysis are the core's; only
 the event source differs.  Each rank's events come from
 :func:`~repro.trace.store.iter_location` instead of an in-memory list,
-so the view holds O(ranks × buffer) memory:
+so the view holds O(ranks × chunk) memory:
 
 1. **Alignment pass** (at construction) — each location file is read
    once, streaming, for its sync sequence, event count and last
    timestamp; the core solves the logical clocks from those.
 2. **Every later pass** — :meth:`StreamingTrace.rank_stream` re-reads
    a location file and re-aligns it; :meth:`StreamingTrace.events`
-   merges those readers, each holding one decoded event plus its file
-   buffer.
+   merges those readers, each holding one decoded chunk of lines.
 
 The disk round trip is lossless (timestamps are bit-exact JSON
 doubles), so ``open_merged_trace(d)`` agrees with

@@ -1,11 +1,14 @@
 """Tests for Score-P tracing mode."""
 
+import pickle
+
 import pytest
 
 from repro.execution.clock import VirtualClock
 from repro.scorep.tracing import (
     RankedTraceEvent,
     ScorePTracer,
+    TraceEvent,
     TraceEventKind,
     validate_trace,
 )
@@ -187,3 +190,59 @@ class TestRankTaggedStreams:
         assert hash(ev) == hash(
             RankedTraceEvent(0, TraceEventKind.MPI, "MPI_Barrier", 7.0)
         )
+
+
+class TestEventSemantics:
+    """Both event types are value objects: named fields in a fixed
+    order, ``mid`` defaulting to ``None``, immutable and picklable (the
+    ``mp`` backend ships them between processes)."""
+
+    def test_field_names_order_and_defaults(self):
+        assert TraceEvent._fields == ("kind", "region", "timestamp_cycles", "mid")
+        assert RankedTraceEvent._fields == (
+            "rank", "kind", "region", "timestamp_cycles", "mid",
+        )
+        ev = TraceEvent(TraceEventKind.ENTER, "main", 1.5)
+        assert ev.mid is None
+        assert RankedTraceEvent(2, TraceEventKind.ENTER, "main", 1.5).mid is None
+        assert ev == TraceEvent(
+            kind=TraceEventKind.ENTER, region="main", timestamp_cycles=1.5, mid=None
+        )
+
+    @pytest.mark.parametrize(
+        "ev",
+        [
+            TraceEvent(TraceEventKind.MPI, "MPI_Isend", 3.0, 4),
+            RankedTraceEvent(1, TraceEventKind.MPI, "MPI_Isend", 3.0, 4),
+        ],
+    )
+    def test_immutable(self, ev):
+        with pytest.raises(AttributeError):
+            ev.timestamp_cycles = 9.0
+        with pytest.raises(TypeError):
+            ev[0] = None
+
+    @pytest.mark.parametrize(
+        "ev",
+        [
+            TraceEvent(TraceEventKind.LEAVE, "solve", 0.1 + 0.2),
+            RankedTraceEvent(3, TraceEventKind.MPI, "MPI_Irecv", 2.0**60, 7),
+        ],
+    )
+    def test_pickle_round_trip(self, ev):
+        back = pickle.loads(pickle.dumps(ev))
+        assert back == ev
+        assert type(back) is type(ev)
+        assert back.kind is ev.kind
+
+    def test_untagged_drops_only_the_rank(self):
+        ranked = RankedTraceEvent(5, TraceEventKind.MPI, "MPI_Isend", 3.0, 4)
+        plain = ranked.untagged()
+        assert type(plain) is TraceEvent
+        assert plain == TraceEvent(TraceEventKind.MPI, "MPI_Isend", 3.0, 4)
+
+    def test_ranked_never_equals_untagged(self):
+        for rank in (0, 1):
+            ranked = RankedTraceEvent(rank, TraceEventKind.ENTER, "main", 1.0)
+            assert ranked != ranked.untagged()
+            assert ranked.untagged() != ranked

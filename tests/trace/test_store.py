@@ -2,12 +2,17 @@
 definition tables, and the health record."""
 
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.execution.clock import VirtualClock
 from repro.multirank.faults import HealthReport, RankHealth
-from repro.scorep.tracing import ScorePTracer, TraceEventKind
+from repro.scorep.tracing import ScorePTracer, TraceEvent, TraceEventKind
 from repro.trace import (
     TraceStoreError,
     TraceWriter,
@@ -183,6 +188,103 @@ class TestTruncationDetection:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(TraceStoreError, match="missing location"):
             load_location(tmp_path, 9)
+
+    @pytest.mark.parametrize("damage", [b"\xff", b"[" * 100_000])
+    def test_damaged_line_is_undecodable(self, tmp_path, damage):
+        """A corrupt byte or runaway nesting fails typed, at its line."""
+        path = self._published(tmp_path, n=4)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[3] = damage + lines[3]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TraceStoreError, match=r":4: undecodable line"):
+            load_location_file(path)
+        assert len(load_location_file(path, strict=False)) == 1
+
+
+#: decodable but malformed lines (with region 0 defined)
+MALFORMED = [
+    "5", "[]", '["H"]', '["D", 0]', "[0, 0]", "[0, [1], 1.0]",
+    '[0, 0, "x"]', "[0, 0, 1.0, [2]]",
+]
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("line", MALFORMED)
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_typed_error_after_the_good_prefix(self, tmp_path, line, strict):
+        writer = TraceWriter(tmp_path, 0)
+        writer.write_events(sample_events(4))
+        path = Path(writer.close().path)
+        lines = path.read_text().splitlines()
+        lines.insert(len(lines) - 1, line)  # after the events, before the footer
+        path.write_text("\n".join(lines) + "\n")
+        salvaged = []
+        with pytest.raises(
+            TraceStoreError, match=rf"rank-00000.evt:{len(lines) - 1}: malformed record"
+        ):
+            for event in iter_location_file(path, strict=strict):
+                salvaged.append(event)
+        assert salvaged == sample_events(4)
+
+
+#: region names that need JSON escapes
+escaped_names = st.sampled_from(
+    ["main", 'q"uote', "back\\slash", "new\nline", "tab\t", "région", "\u2028", "ok[]"]
+)
+finite_stamps = st.floats(allow_nan=False, allow_infinity=False)
+stamps = st.one_of(
+    finite_stamps,
+    finite_stamps.map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+streams = st.lists(
+    st.builds(
+        TraceEvent,
+        st.sampled_from(list(TraceEventKind)),
+        escaped_names,
+        stamps,
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**40)),
+    ),
+    max_size=40,
+)
+
+
+def json_dumps_lines(rank, events):
+    """The location file as one ``json.dumps`` per record."""
+    kind_code = {TraceEventKind.ENTER: 0, TraceEventKind.LEAVE: 1, TraceEventKind.MPI: 2}
+    lines = [json.dumps(["H", 1, rank])]
+    regions = {}
+    for event in events:
+        if event.region not in regions:
+            regions[event.region] = len(regions)
+            lines.append(json.dumps(["D", regions[event.region], event.region]))
+        record = [kind_code[event.kind], regions[event.region], event.timestamp_cycles]
+        if event.mid is not None:
+            record.append(event.mid)
+        lines.append(json.dumps(record))
+    lines.append(json.dumps(["F", len(events)]))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestWriterBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(events=streams, buffer_events=st.integers(min_value=1, max_value=8))
+    def test_matches_json_dumps_per_record(self, tmp_path_factory, events, buffer_events):
+        trace_dir = tmp_path_factory.mktemp("bytes")
+        writer = TraceWriter(trace_dir, 2, buffer_events=buffer_events)
+        writer.write_events(events)
+        writer.close()
+        assert location_path(trace_dir, 2).read_bytes() == json_dumps_lines(2, events)
+
+    @pytest.mark.parametrize(
+        "stamp, text", [(math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")]
+    )
+    def test_non_finite_stamp_is_json_spelled(self, tmp_path, stamp, text):
+        writer = TraceWriter(tmp_path, 0)
+        writer.write(ev(E, "a", stamp, mid=3))
+        writer.close()
+        assert location_path(tmp_path, 0).read_text().splitlines()[2] == f"[0, 0, {text}, 3]"
 
 
 class TestDefinitions:

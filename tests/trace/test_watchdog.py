@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.multirank.faults import HealthReport, RankHealth
 from repro.trace import (
     Alert,
@@ -54,6 +56,18 @@ class TestScanRun:
         assert truncated[0].severity == "critical"
         # the intact rank still merges without further alerts
         assert not [a for a in alerts if a.code.startswith("trace-un")]
+
+    @pytest.mark.parametrize("line", ["[0, [1], 1.0]", '[0, 0, "x"]'])
+    def test_malformed_record_alerts_instead_of_raising(self, tmp_path, line):
+        write_archive(tmp_path, healthy_streams())
+        path = location_path(tmp_path, 1)
+        lines = path.read_text().splitlines()
+        lines.insert(4, line)
+        path.write_text("\n".join(lines) + "\n")
+        alerts = scan_run(tmp_path)
+        truncated = [a for a in alerts if a.code == "trace-truncated"]
+        assert [a.rank for a in truncated] == [1]
+        assert "malformed record" in truncated[0].detail
 
     def test_missing_location(self, tmp_path):
         write_archive(tmp_path, healthy_streams())
