@@ -21,13 +21,16 @@ replaces that with a *snapshot* model:
   vectorised condensation-edge extraction via packed 64-bit keys and
   ``np.unique`` (:func:`condensation_edges`), Kahn topological order and
   the longest-path DP over flat indegree/best arrays (:func:`topo_order`,
-  :func:`longest_path_dp`), and per-frontier vectorised BFS depths
+  :func:`longest_path_dp`), the wave-vectorised DP for acyclic graphs
+  (:func:`dag_longest_path`), and per-frontier vectorised BFS depths
   (:func:`bfs_depths`).
 
-The kernels are pure functions of arrays, so other subsystems with their
-own small graphs (the compiler's recursion-cycle detection) reuse them
-through :func:`edges_to_csr` instead of carrying private SCC
-implementations.
+There is one kernel per job; :func:`tarjan_scc` is the only SCC
+implementation.  The kernels are pure functions of arrays, so other
+subsystems with their own small graphs (the compiler's recursion-cycle
+detection) reuse them through :func:`edges_to_csr` instead of carrying
+private SCC implementations.  The dict/set kernels they replaced live on
+in the test suite as the oracle they are checked against.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 INDEX_DTYPE = np.int32
 
 #: below this many nodes+edges, per-wave numpy dispatch overhead beats
-#: the vectorisation win and callers should prefer plain-Python
-#: traversals (the bit-for-bit identical slow path)
+#: the vectorisation win, so :meth:`CallGraph._sweep` traverses the
+#: id-set adjacency in plain Python instead of calling :func:`sweep`
 VECTOR_MIN_SIZE = 32768
 
 
@@ -147,16 +150,12 @@ def sweep(
     indices: np.ndarray,
     seeds: Iterable[int],
     n: int,
-    within: np.ndarray | None = None,
 ) -> np.ndarray:
     """Frontier-vectorised reachability: boolean visited mask over ids.
 
     Each iteration gathers the whole frontier's adjacency in one ragged
     numpy gather, drops already-visited targets and dedupes — no
-    per-node Python iteration.  ``within`` optionally restricts the
-    sweep to a node subset (targets outside the mask are never entered);
-    seeds are assumed to lie inside it.  The restricted form is what the
-    forward–backward SCC recursion runs on.
+    per-node Python iteration.
     """
     visited = np.zeros(n, dtype=bool)
     frontier = np.unique(np.fromiter(seeds, dtype=np.int64))
@@ -165,10 +164,7 @@ def sweep(
     visited[frontier] = True
     while frontier.size:
         neighbors = _gather(indptr, indices, frontier)
-        if within is None:
-            neighbors = neighbors[~visited[neighbors]]
-        else:
-            neighbors = neighbors[within[neighbors] & ~visited[neighbors]]
+        neighbors = neighbors[~visited[neighbors]]
         if neighbors.size == 0:
             break
         frontier = np.unique(neighbors.astype(np.int64))
@@ -233,86 +229,6 @@ def peel_topological(
     return waves if remaining == 0 else None
 
 
-def forward_backward_scc(
-    succ_indptr: np.ndarray,
-    succ_indices: np.ndarray,
-    pred_indptr: np.ndarray,
-    pred_indices: np.ndarray,
-    seeds: Iterable[int],
-    n: int,
-) -> tuple[np.ndarray, list[list[int]]]:
-    """Vectorised forward–backward SCC over the seeds' reachable subgraph.
-
-    The FB recursion (Fleischer/Hendrickson/Pınar): pick a pivot, its
-    SCC is forward-reach ∩ backward-reach within the current subset;
-    the three remainders (forward-only, backward-only, untouched) are
-    independent subproblems.  Every reach runs as a restricted
-    :func:`sweep` — frontier-vectorised ragged gathers — so cycle-heavy
-    graphs that defeat the wave fast path avoid the sequential
-    per-node DFS of :func:`tarjan_scc`.
-
-    Returns ``(comp_of, comp_members)`` shaped like :func:`tarjan_scc`:
-    ``comp_of[nid]`` is ``-1`` outside the reachable subgraph, and
-    component ids are assigned in an unspecified (but deterministic)
-    emission order — consumers must order via :func:`topo_order`.
-    """
-    comp_of = np.full(n, -1, dtype=INDEX_DTYPE)
-    comp_members: list[list[int]] = []
-    visited = sweep(succ_indptr, succ_indices, seeds, n)
-    roots = np.flatnonzero(visited)
-    if roots.size == 0:
-        return comp_of, comp_members
-    worklist: list[np.ndarray] = [roots]
-    while worklist:
-        nodes = worklist.pop()
-        if nodes.size == 0:
-            continue
-        if nodes.size == 1:
-            nid = int(nodes[0])
-            comp_of[nid] = len(comp_members)
-            comp_members.append([nid])
-            continue
-        allowed = np.zeros(n, dtype=bool)
-        allowed[nodes] = True
-        pivot = (int(nodes[0]),)
-        fwd = sweep(succ_indptr, succ_indices, pivot, n, within=allowed)
-        bwd = sweep(pred_indptr, pred_indices, pivot, n, within=allowed)
-        scc_mask = fwd & bwd
-        members = np.flatnonzero(scc_mask)
-        comp_of[members] = len(comp_members)
-        comp_members.append(members.tolist())
-        worklist.append(np.flatnonzero(fwd & ~scc_mask))
-        worklist.append(np.flatnonzero(bwd & ~scc_mask))
-        rest = ~(fwd | bwd)
-        worklist.append(nodes[rest[nodes]])
-    return comp_of, comp_members
-
-
-def scc_condense(
-    succ_indptr: np.ndarray,
-    succ_indices: np.ndarray,
-    pred_indptr: np.ndarray,
-    pred_indices: np.ndarray,
-    seeds: Iterable[int],
-    n: int,
-) -> tuple[np.ndarray, list[list[int]]]:
-    """SCC kernel dispatch for cyclic graphs: FB at scale, Tarjan below.
-
-    Small graphs stay on the sequential Tarjan (per-sweep numpy dispatch
-    costs more than it vectorises there, the same
-    :data:`VECTOR_MIN_SIZE` threshold as every other kernel); large
-    cyclic graphs take the forward–backward recursion.  Component *ids*
-    may differ between the kernels but the partition is identical (SCCs
-    are unique), and every consumer orders components explicitly via
-    :func:`topo_order`.
-    """
-    if n + succ_indices.size < VECTOR_MIN_SIZE:
-        return tarjan_scc(succ_indptr, succ_indices, seeds, n)
-    return forward_backward_scc(
-        succ_indptr, succ_indices, pred_indptr, pred_indices, seeds, n
-    )
-
-
 def condense(
     snapshot: "CsrSnapshot", root_id: int
 ) -> tuple[np.ndarray, list[list[int]]]:
@@ -327,14 +243,7 @@ def condense(
     """
     indptr, indices = snapshot.succ_indptr, snapshot.succ_indices
     if snapshot.topological_waves() is None:
-        return scc_condense(
-            indptr,
-            indices,
-            snapshot.pred_indptr,
-            snapshot.pred_indices,
-            (root_id,),
-            snapshot.n,
-        )
+        return tarjan_scc(indptr, indices, (root_id,), snapshot.n)
     visited = sweep(indptr, indices, (root_id,), snapshot.n)
     order = np.flatnonzero(visited)
     comp_of = np.full(snapshot.n, -1, dtype=INDEX_DTYPE)
@@ -361,8 +270,7 @@ def dag_longest_path(
     only when that candidate beats the ``-1`` unreached sentinel
     (strictly) — so negative metrics drop nodes exactly like the
     baseline does.  Arithmetic runs in the metric array's dtype
-    (``int64``/``float64``); callers needing exact arbitrary-magnitude
-    Python-int sums must use the flat-list :func:`longest_path_dp`.
+    (``int64``/``float64``).
     """
     n = pred_indptr.size - 1
     pred_counts = np.diff(pred_indptr)
@@ -535,27 +443,25 @@ def longest_path_dp(
     cindptr: np.ndarray,
     cindices: np.ndarray,
     order: Sequence[int],
-    comp_metric: Sequence,
+    comp_metric: np.ndarray,
     root_comp: int,
-) -> tuple[list, bytearray]:
+) -> tuple[list[int], bytearray]:
     """Longest-path DP from ``root_comp`` over the condensation DAG.
 
-    Returns ``(best, reached)``: per-component best path sum (flat list,
-    Python numbers — exact for arbitrary metric magnitudes) and the
-    reachability-from-root byte mask.  Relaxation runs in topological
-    order over flat lists: the condensation is typically tiny relative
-    to the graph, where per-component numpy slicing costs more than it
-    vectorises, and the ``-1`` unreached sentinel semantics of the dict
-    baseline carry over exactly (a candidate replaces the incumbent only
-    when strictly greater).
+    Returns ``(best, reached)``: per-component best path sum (flat list
+    of Python ints) and the reachability-from-root byte mask.
+    Relaxation runs in topological order over flat lists: the
+    condensation is typically tiny relative to the graph, where
+    per-component numpy slicing costs more than it vectorises, and the
+    ``-1`` unreached sentinel semantics of the dict baseline carry over
+    exactly (a candidate replaces the incumbent only when strictly
+    greater).
     """
     ncomp = len(comp_metric)
     cindptr_l = cindptr.tolist()
     cindices_l = cindices.tolist()
-    metric_l = comp_metric.tolist() if hasattr(comp_metric, "tolist") else list(
-        comp_metric
-    )
-    best: list = [-1] * ncomp
+    metric_l = comp_metric.tolist()
+    best: list[int] = [-1] * ncomp
     reached = bytearray(ncomp)
     best[root_comp] = metric_l[root_comp]
     reached[root_comp] = 1

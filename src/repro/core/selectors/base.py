@@ -11,7 +11,7 @@ combinators do integer set-algebra, traversal selectors sweep id
 adjacency — and results are converted to function names only at the
 :class:`~repro.core.pipeline.SelectionResult` boundary (or through the
 string-typed :meth:`EvalContext.evaluate` /:meth:`Selector.evaluate`
-compatibility surface).
+name boundary).
 
 Per-context memoisation keys on selector *identity* (one pipeline run
 reuses shared sub-pipelines).  On top of that, an opt-in
@@ -252,12 +252,7 @@ class EvalContext:
                 self._cache[key] = hit
                 self.trace.append((selector.describe(), len(hit)))
                 return hit
-        select_ids = getattr(selector, "select_ids", None)
-        if select_ids is not None:
-            result = frozenset(select_ids(self))
-        else:
-            # duck-typed legacy selector exposing only name-based select()
-            result = frozenset(self.graph.names_to_ids(selector.select(self)))
+        result = frozenset(selector.select_ids(self))
         self._cache[key] = result
         if struct_key is not None:
             cross.put(struct_key, result, supports=self.supports_of(selector))
@@ -290,29 +285,21 @@ class EvalContext:
         return supports
 
     def evaluate(self, selector: "Selector") -> frozenset[str]:
-        """Evaluate to function names (boundary/compatibility surface)."""
+        """Evaluate to function names (the name boundary)."""
         return self.graph.ids_to_names(self.evaluate_ids(selector))
 
 
 class Selector:
     """One node of the selection pipeline.
 
-    Subclasses implement :meth:`select_ids` (preferred — integer ids) or
-    the legacy :meth:`select` (function names); each has a default that
-    bridges to the other.
+    Subclasses implement :meth:`select_ids` over interned integer ids;
+    :meth:`evaluate` and :meth:`EvalContext.evaluate` are the
+    function-name boundary.
     """
 
     def select_ids(self, ctx: EvalContext) -> set[int]:
         """Compute the selected id set (uncached)."""
-        if type(self).select is Selector.select:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither select_ids nor select"
-            )
-        return ctx.graph.names_to_ids(self.select(ctx))
-
-    def select(self, ctx: EvalContext) -> set[str]:
-        """Compute the selected function-name set (uncached)."""
-        return set(ctx.graph.ids_to_names(self.select_ids(ctx)))
+        raise NotImplementedError(f"{type(self).__name__} implements no select_ids")
 
     def delta_supports(
         self, ctx: EvalContext

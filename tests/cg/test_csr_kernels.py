@@ -3,14 +3,16 @@
 The CSR kernels (sweep, Tarjan SCC, condensation edges, topological
 order, aggregation DP, BFS depths) are pure performance work: on any
 graph — cyclic or acyclic, with self-loops, removed-node tombstones and
-multiple roots — they must agree exactly with naive reference
-implementations.  Random graphs drive both the vectorised DAG fast path
-(wave order cached on the snapshot) and the Tarjan fallback.
+multiple roots — they must agree exactly with the dict/set oracle in
+``dict_kernels.py`` or with naive brute force.  Random graphs drive both
+the vectorised DAG fast path (wave order cached on the snapshot) and
+the Tarjan path; one deterministic cyclic graph above
+``VECTOR_MIN_SIZE`` drives the numpy branch of the reachability sweep.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import random
 
 import numpy as np
 import pytest
@@ -19,14 +21,12 @@ from hypothesis import strategies as st
 
 from repro.cg import csr as csr_kernels
 from repro.cg.analysis import (
-    _aggregate_statement_ids_dicts,
-    _condense,
-    _dict_reachable_ids,
     aggregate_statement_dense,
     aggregate_statement_ids,
     call_depth_ids_from,
 )
 from repro.cg.graph import CallGraph, NodeMeta
+from tests.cg import dict_kernels
 
 
 @st.composite
@@ -63,19 +63,6 @@ def _live_ids(graph: CallGraph) -> list[int]:
     return sorted(graph.node_ids())
 
 
-def _naive_bfs_depths(graph: CallGraph, root_id: int) -> dict[int, int]:
-    depths = {root_id: 0}
-    queue = deque([root_id])
-    while queue:
-        nid = queue.popleft()
-        base = depths[nid] + 1
-        for callee in graph.succ_ids(nid):
-            if callee not in depths:
-                depths[callee] = base
-                queue.append(callee)
-    return depths
-
-
 def _naive_scc_partition(graph: CallGraph, root_id: int) -> set[tuple[int, ...]]:
     """Brute-force SCCs of the reachable subgraph: mutual reachability."""
     reachable = sorted(graph.reachable_ids([root_id]))
@@ -95,7 +82,7 @@ class TestSweep:
         seeds = data.draw(
             st.lists(st.sampled_from(live), min_size=1, unique=True)
         )
-        reference = _dict_reachable_ids(graph, seeds)
+        reference = dict_kernels.reachable_ids(graph, seeds)
         assert graph.reachable_ids(seeds) == reference
         # the vectorised kernel directly too — the public API routes
         # small graphs through the Python path
@@ -152,7 +139,7 @@ class TestScc:
         _, members = csr_kernels.tarjan_scc(
             snapshot.succ_indptr, snapshot.succ_indices, (root_id,), snapshot.n
         )
-        _, dict_members = _condense(graph, root_id)
+        _, dict_members = dict_kernels.condense(graph, root_id)
         assert sorted(tuple(sorted(m)) for m in members) == sorted(
             tuple(sorted(m)) for m in dict_members
         )
@@ -226,6 +213,51 @@ class TestCondensationOrder:
         assert got == expected
 
 
+def _kernel_aggregates(graph: CallGraph, root_id: int, metric) -> list[dict]:
+    """Aggregation through the CSR kernels directly, with a per-id metric.
+
+    The public API always aggregates statement counts; the kernels take
+    any metric array.  Returns the condensation DP's result (Tarjan,
+    condensation edges, Kahn order, flat-list DP) and, on acyclic
+    graphs, the wave DP's result, each as an ``id -> total`` dict.
+    """
+    snapshot = graph.csr()
+    values = np.zeros(snapshot.n, dtype=np.int64)
+    for nid in graph.node_ids():
+        values[nid] = metric(nid)
+    indptr, indices = snapshot.succ_indptr, snapshot.succ_indices
+    comp_of, members = csr_kernels.tarjan_scc(
+        indptr, indices, (root_id,), snapshot.n
+    )
+    comp_metric = np.array(
+        [int(values[ms].sum()) for ms in members], dtype=np.int64
+    )
+    cindptr, cindices = csr_kernels.condensation_edges(
+        comp_of, indptr, indices, len(members)
+    )
+    order = csr_kernels.topo_order(cindptr, cindices, len(members))
+    best, reached = csr_kernels.longest_path_dp(
+        cindptr, cindices, order, comp_metric, int(comp_of[root_id])
+    )
+    results = [
+        {
+            member: best[cid]
+            for cid, ms in enumerate(members)
+            if reached[cid]
+            for member in ms
+        }
+    ]
+    waves = snapshot.topological_waves()
+    if waves is not None:
+        best, reached = csr_kernels.dag_longest_path(
+            snapshot.pred_indptr, snapshot.pred_indices, waves, values, root_id
+        )
+        results.append(
+            {int(nid): int(best[nid]) for nid in np.flatnonzero(reached)}
+        )
+    return results
+
+
 class TestAggregation:
     @settings(max_examples=80, deadline=None)
     @given(graph=random_graphs(), data=st.data())
@@ -233,14 +265,14 @@ class TestAggregation:
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
         assert aggregate_statement_ids(
             graph, root_id
-        ) == _aggregate_statement_ids_dicts(graph, root_id)
+        ) == dict_kernels.aggregate_statement_ids(graph, root_id)
 
     @settings(max_examples=40, deadline=None)
     @given(graph=random_graphs(), data=st.data())
     def test_dense_column_matches_dict_baseline(self, graph, data):
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
         dense = aggregate_statement_dense(graph, root_id)
-        reference = _aggregate_statement_ids_dicts(graph, root_id)
+        reference = dict_kernels.aggregate_statement_ids(graph, root_id)
         for nid in range(graph.id_bound):
             assert dense[nid] == reference.get(nid, 0)
 
@@ -249,38 +281,25 @@ class TestAggregation:
     def test_custom_metric_matches_dict_baseline(self, graph, data):
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
         metric = lambda nid: 2 * nid + 1  # noqa: E731
-        assert aggregate_statement_ids(
+        reference = dict_kernels.aggregate_statement_ids(
             graph, root_id, metric=metric
-        ) == _aggregate_statement_ids_dicts(graph, root_id, metric=metric)
+        )
+        for result in _kernel_aggregates(graph, root_id, metric):
+            assert result == reference
 
     @settings(max_examples=40, deadline=None)
     @given(graph=random_graphs(), data=st.data())
     def test_negative_custom_metric_matches_dict_baseline(self, graph, data):
         # regression: negative metrics can push path sums below the -1
         # unreached sentinel; descendants must drop (or survive) exactly
-        # like the dict baseline on both the DAG and cyclic code paths
+        # like the dict baseline in both the wave DP and the flat-list DP
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
         metric = lambda nid: 7 - 5 * nid  # noqa: E731
-        assert aggregate_statement_ids(
+        reference = dict_kernels.aggregate_statement_ids(
             graph, root_id, metric=metric
-        ) == _aggregate_statement_ids_dicts(graph, root_id, metric=metric)
-
-    def test_huge_custom_metric_is_exact(self):
-        # regression: custom metrics route through the Python-int DP, so
-        # path sums past the int64 range must not wrap
-        graph = CallGraph()
-        for name in ("main", "mid", "leaf"):
-            graph.add_node(name, NodeMeta(statements=1, has_body=True))
-        graph.add_edge("main", "mid")
-        graph.add_edge("mid", "leaf")
-        metric = lambda nid: 2**62  # noqa: E731
-        result = aggregate_statement_ids(
-            graph, graph.id_of("main"), metric=metric
         )
-        assert result[graph.id_of("leaf")] == 3 * 2**62  # > int64 max
-        assert result == _aggregate_statement_ids_dicts(
-            graph, graph.id_of("main"), metric=metric
-        )
+        for result in _kernel_aggregates(graph, root_id, metric):
+            assert result == reference
 
 
 class TestDagLongestPathKernel:
@@ -313,7 +332,7 @@ class TestDagLongestPathKernel:
             graph.id_of("main"),
         )
         id_metric = lambda nid: int(metric[nid])  # noqa: E731
-        reference = _aggregate_statement_ids_dicts(
+        reference = dict_kernels.aggregate_statement_ids(
             graph, graph.id_of("main"), metric=id_metric
         )
         got = {
@@ -344,10 +363,9 @@ class TestBfsDepths:
     @given(graph=random_graphs(), data=st.data())
     def test_matches_naive_bfs(self, graph, data):
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
-        reference = _naive_bfs_depths(graph, root_id)
+        reference = dict_kernels.call_depths(graph, root_id)
         assert call_depth_ids_from(graph, root_id) == reference
-        # the vectorised kernel directly too (public API routes small
-        # graphs through the deque BFS)
+        # the kernel directly too
         snapshot = graph.csr()
         dense = csr_kernels.bfs_depths(
             snapshot.succ_indptr, snapshot.succ_indices, root_id, snapshot.n
@@ -357,6 +375,71 @@ class TestBfsDepths:
             for nid in np.flatnonzero(dense >= 0)
         }
         assert got == reference
+
+
+def _cyclic_graph_above_threshold(seed: int = 15) -> CallGraph:
+    """A deterministic cyclic call graph past ``VECTOR_MIN_SIZE``.
+
+    A random spanning tree under ``main`` plus random forward edges and
+    back-edges, so the reachable subgraph has non-trivial SCCs and the
+    graph has no topological wave order.
+    """
+    rng = random.Random(seed)
+    n = 15_000
+    graph = CallGraph()
+    names = ["main"] + [f"f{i}" for i in range(1, n)]
+    for name in names:
+        graph.add_node(
+            name, NodeMeta(statements=rng.randrange(21), has_body=True)
+        )
+    for i in range(1, n):
+        graph.add_edge(names[rng.randrange(i)], names[i])
+    for _ in range(6_000):
+        u, v = sorted(rng.sample(range(n), 2))
+        graph.add_edge(names[u], names[v])
+    for _ in range(1_500):
+        u, v = sorted(rng.sample(range(n), 2))
+        graph.add_edge(names[v], names[u])
+    return graph
+
+
+class TestAboveVectorThreshold:
+    """The public kernels past the size switch of ``CallGraph._sweep``,
+    on a cyclic graph, against the dict oracle."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        graph = _cyclic_graph_above_threshold()
+        assert len(graph) + graph.edge_count() >= csr_kernels.VECTOR_MIN_SIZE
+        assert graph.csr().topological_waves() is None
+        return graph
+
+    def test_sweeps_match_dict_oracle(self, graph):
+        rng = random.Random(1)
+        for seeds in ([graph.id_of("main")], rng.sample(range(len(graph)), 5)):
+            assert graph.reachable_ids(seeds) == dict_kernels.reachable_ids(
+                graph, seeds
+            )
+            assert graph.reaching_ids(seeds) == dict_kernels.reachable_ids(
+                graph, seeds, reverse=True
+            )
+
+    def test_condensation_matches_dict_oracle(self, graph):
+        root_id = graph.id_of("main")
+        _, members = csr_kernels.condense(graph.csr(), root_id)
+        _, dict_members = dict_kernels.condense(graph, root_id)
+        partition = sorted(tuple(sorted(m)) for m in members)
+        assert partition == sorted(tuple(sorted(m)) for m in dict_members)
+        assert max(len(m) for m in members) > 1
+
+    def test_aggregation_and_depths_match_dict_oracle(self, graph):
+        root_id = graph.id_of("main")
+        assert aggregate_statement_ids(
+            graph, root_id
+        ) == dict_kernels.aggregate_statement_ids(graph, root_id)
+        assert call_depth_ids_from(graph, root_id) == dict_kernels.call_depths(
+            graph, root_id
+        )
 
 
 class TestSnapshot:

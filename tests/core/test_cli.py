@@ -76,3 +76,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("capi: error: cannot read spec file")
         assert "missing.capi" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "{not json",
+            '{"_MetaCG": {}, "_CG": {"main": {"meta": {"numFlops": "lots"}}}}',
+        ],
+    )
+    def test_garbled_cg_file_is_a_typed_error(self, tmp_path, capsys, payload):
+        cg = tmp_path / "garbled.json"
+        cg.write_text(payload)
+        rc = main(["select", "--cg", str(cg), "--spec", "mpi", "-o", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("capi: error: ")
+        assert "Traceback" not in err

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cg.graph import CallGraph, NodeMeta
 from repro.core.pipeline import PipelineBuilder, run_spec
-from repro.core.selectors.base import AllSelector, EvalContext
+from repro.core.selectors.base import AllSelector, EvalContext, Selector
 from repro.core.selectors.callpath import CallPath, OnCallPathTo
 from repro.core.selectors.coarse import Coarse
 from repro.core.selectors.combinators import Join, Subtract
@@ -211,12 +211,12 @@ def test_join_subtract_algebra(a, b):
     """Property: join/subtract obey set algebra on arbitrary selections."""
     g = sample_graph()
 
-    class Fixed:
+    class Fixed(Selector):
         def __init__(self, s):
             self.s = s
 
-        def select(self, ctx):
-            return set(self.s)
+        def select_ids(self, ctx):
+            return ctx.graph.names_to_ids(self.s)
 
         def describe(self):
             return "fixed"

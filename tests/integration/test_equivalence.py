@@ -25,17 +25,13 @@ from benchmarks.bench_selection_scale import (
     seed_reference_select,
 )
 from repro.apps import PAPER_SPECS, build_lulesh, build_openfoam
-from repro.cg.analysis import (
-    _aggregate_statement_ids_dicts,
-    _dict_reachable_ids,
-    aggregate_statement_ids,
-    call_depth_ids_from,
-)
+from repro.cg.analysis import aggregate_statement_ids, call_depth_ids_from
 from repro.cg.merge import build_whole_program_cg
 from repro.core.pipeline import run_spec
 from repro.core.spec.modules import load_spec
 from repro.execution.workload import Workload
 from repro.experiments.runner import prepare_app, run_configuration
+from tests.cg import dict_kernels
 from tests.integration.test_properties import random_programs
 
 SPECS = sorted(PAPER_SPECS)
@@ -100,19 +96,19 @@ class TestAnalysisEquivalence:
         for app, graph in _graphs():
             root_id = graph.id_of("main")
             csr_result = aggregate_statement_ids(graph, root_id)
-            dict_result = _aggregate_statement_ids_dicts(graph, root_id)
+            dict_result = dict_kernels.aggregate_statement_ids(graph, root_id)
             assert csr_result == dict_result, app
             assert all(type(v) is int for v in csr_result.values()), app
 
     def test_sweeps_and_depths_identical_on_app_graphs(self):
         for app, graph in _graphs():
             root_id = graph.id_of("main")
-            assert graph.reachable_ids([root_id]) == _dict_reachable_ids(
+            assert graph.reachable_ids([root_id]) == dict_kernels.reachable_ids(
                 graph, [root_id]
             ), app
-            depths = call_depth_ids_from(graph, root_id)
-            assert depths[root_id] == 0, app
-            assert set(depths) == graph.reachable_ids([root_id]), app
+            assert call_depth_ids_from(graph, root_id) == dict_kernels.call_depths(
+                graph, root_id
+            ), app
 
     @settings(
         max_examples=15,
@@ -126,7 +122,7 @@ class TestAnalysisEquivalence:
             root_id = graph.id_of(root)
             assert aggregate_statement_ids(
                 graph, root_id
-            ) == _aggregate_statement_ids_dicts(graph, root_id)
+            ) == dict_kernels.aggregate_statement_ids(graph, root_id)
 
 
 class TestExecutionEquivalence:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.cg.merge import build_whole_program_cg
 from repro.core.ic import InstrumentationConfig
 from repro.core.inlining import available_symbols, compensate_inlining
-from repro.core.selectors.base import AllSelector
+from repro.core.selectors.base import AllSelector, Selector
 from repro.core.selectors.coarse import Coarse
 from repro.core.selectors.combinators import Join
 from repro.program.builder import ProgramBuilder
@@ -153,14 +153,14 @@ def test_coarse_selector_invariants(program):
     assert twice == once
 
 
-class _Fixed:
+class _Fixed(Selector):
     """Selector returning a fixed set (test helper)."""
 
     def __init__(self, names):
         self._names = set(names)
 
-    def select(self, ctx):
-        return set(self._names)
+    def select_ids(self, ctx):
+        return ctx.graph.names_to_ids(self._names)
 
     def describe(self):
         return "fixed"
